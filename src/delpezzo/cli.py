@@ -106,6 +106,18 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"cannot parse rational {text!r}") from exc
 
 
+def int_at_least(low: int):
+    """argparse type for integers >= low; other values are usage errors."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+
+    return integer
+
+
 def parse_delta_entries(text: str):
     try:
         return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
@@ -224,9 +236,7 @@ def _bounds_or_none(baskets):
 def cmd_reduce(args) -> int:
     entries = parse_delta_entries(args.delta)
     dv = DeltaVector(args.local_index, entries)
-    result = enumerate_reduced_baskets(
-        args.local_index, dv, max_mu=args.max_mu, jobs=args.jobs
-    )
+    result = enumerate_reduced_baskets(args.local_index, dv)
     if not result.realizable:
         emit(
             args,
@@ -252,7 +262,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_analyze(args) -> int:
     h = parse_rational_function(args.series)
-    report = analyze_series(h, max_mu=args.max_mu, jobs=args.jobs)
+    report = analyze_series(h)
     verdict = "NO_SURFACE" if report.verdict == "NoSurface" else "FEASIBLE"
     lines = [f"K2={fmt_frac(report.k_squared)}"]
     for i, choice in enumerate(report.per_choice, start=1):
@@ -345,22 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, terms=False, jobs=False, max_mu=False):
+    def common(p, terms=False):
         p.add_argument("--json", action="store_true", help="emit JSON output")
         if terms:
             p.add_argument(
                 "--terms", type=int, default=0, metavar="N",
                 help="append the first N series coefficients",
-            )
-        if jobs:
-            p.add_argument(
-                "--jobs", type=int, default=1, metavar="K",
-                help="parallelism hint for the enumeration sweep",
-            )
-        if max_mu:
-            p.add_argument(
-                "--max-mu", type=int, default=None, metavar="N",
-                help="enumeration sweep ceiling",
             )
 
     p = sub.add_parser("contrib", help="orbifold contribution of a singularity")
@@ -382,35 +382,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_residue)
 
     p = sub.add_parser("quiver", help="residual quiver cycle at a local index")
-    p.add_argument("local_index", type=int)
+    p.add_argument("local_index", type=int_at_least(1))
     common(p)
     p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("delta-rank", help="delta-lattice rank vs phi/2")
-    p.add_argument("local_index", type=int)
+    p.add_argument("local_index", type=int_at_least(1))
     common(p)
     p.set_defaults(func=cmd_delta_rank)
 
     p = sub.add_parser("reduce", help="enumerate reduced baskets for a delta-vector")
-    p.add_argument("local_index", type=int)
+    p.add_argument("local_index", type=int_at_least(1))
     p.add_argument("delta", help="comma-separated entries, e.g. 2,1,2")
-    common(p, jobs=True, max_mu=True)
+    common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("analyze", help="feasibility report for a Hilbert series")
     p.add_argument("series")
-    common(p, terms=True, jobs=True, max_mu=True)
+    common(p, terms=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bounds", help="degree bounds for a basket of residues")
     p.add_argument("basket")
-    p.add_argument("--nmin", type=int, default=0,
+    p.add_argument("--nmin", type=int_at_least(0), default=0,
                    help="minimum Euler number of the smooth locus")
     common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("count-bound", help="singularity-count bound N(Q, l*)")
-    p.add_argument("ell_star", type=int)
+    p.add_argument("ell_star", type=int_at_least(1))
     p.add_argument("contribution", nargs="+",
                    help="per-index contributions as ell:d1,d2,...")
     common(p)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateCone, NotCoprime
+from .errors import CapacityExceeded, DegenerateCone, NotCoprime
 
 Poly = tuple  # coefficient tuple, lowest degree first
 
@@ -372,6 +372,63 @@ def int_kernel(M: IntMatrix) -> list[tuple]:
     n = M.cols
     free = range(len(pivots), n)
     return [tuple(U[i][j] for i in range(n)) for j in free]
+
+
+def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
+    """Graver basis of the integer kernel {x : Mx = 0}; g and -g both appear.
+
+    Its elements are the nonzero kernel vectors minimal under the conformal
+    order: u ⊑ v when u_i v_i >= 0 and |u_i| <= |v_i| for all i.  Pottier's
+    completion (The Euclidean algorithm in dimension n, ISSAC 1996) starts
+    from the int_kernel basis and its negatives, reduces the sum of each
+    pair that is not conformal by subtracting elements that lie under it,
+    and adds a nonzero remainder to the set; a last pass keeps the
+    ⊑-minimal elements.  Each reduced pair is one step against node_cap;
+    reaching it raises CapacityExceeded, never a partial basis.
+    """
+
+    def signed(v: tuple) -> tuple:
+        """v with bit masks of its positive and of its negative coordinates."""
+        pos = sum(1 << i for i, x in enumerate(v) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(v) if x < 0)
+        return v, pos, neg
+
+    def under(g: tuple, v: tuple) -> bool:  # g ⊑ v, both from signed()
+        return not (g[1] & ~v[1] or g[2] & ~v[2]) and all(
+            abs(a) <= abs(b) for a, b in zip(g[0], v[0])
+        )
+
+    def normal_form(s: tuple) -> Optional[tuple]:
+        s = signed(s)
+        while s[1] | s[2]:
+            g = next((g for g in elems if under(g, s)), None)
+            if g is None:
+                return s
+            s = signed(tuple(a - b for a, b in zip(s[0], g[0])))
+        return None
+
+    elems = []
+    for b in int_kernel(M):
+        elems += [signed(b), signed(tuple(-x for x in b))]
+    steps = k = 0
+    # f runs over the even positions only: the pairs of -f are the
+    # negatives of the pairs of f, and so are their normal forms
+    while k < len(elems):
+        f, fpos, fneg = elems[k]
+        for g, gpos, gneg in elems[:k]:
+            if not (fpos & gneg or fneg & gpos):
+                continue  # f + g is the conformal sum of f and g
+            if node_cap is not None and steps >= node_cap:
+                raise CapacityExceeded(
+                    f"Graver completion hit the node cap {node_cap}: "
+                    f"{steps} pairs reduced, |G| = {len(elems)}"
+                )
+            steps += 1
+            r = normal_form(tuple(a + b for a, b in zip(f, g)))
+            if r is not None:
+                elems += [r, signed(tuple(-x for x in r[0]))]
+        k += 2
+    return [v[0] for v in elems if not any(g is not v and under(g, v) for g in elems)]
 
 
 def int_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:

@@ -14,6 +14,7 @@ from .errors import (
     AmbiguousDecomposition,
     InvalidFraction,
     InvalidWeight,
+    LengthMismatch,
     NonIntegralDelta,
     NotASurfaceSeries,
     ParseError,
@@ -75,7 +76,7 @@ class DeltaVector:
 
     def __post_init__(self) -> None:
         if len(self.entries) != max(0, self.local_index - 2):
-            raise ValueError("entry count must be local_index - 2")
+            raise LengthMismatch("entry count must be local_index - 2")
 
     @property
     def is_zero(self) -> bool:

@@ -387,13 +387,17 @@ def _cancelling_single_index(
 
 
 def _subset_sums(deltas: list[tuple]) -> dict[tuple, int]:
+    """One subset (bit mask) per partial sum; the zero sum keeps a nonempty
+    subset once one is found, so a cancelling tuple inside one half of a
+    meet-in-the-middle split is not hidden by the empty subset."""
     dim = len(deltas[0]) if deltas else 0
-    out = {(0,) * dim: 0}
+    zero = (0,) * dim
+    out = {zero: 0}
     for i, d in enumerate(deltas):
         new = {}
         for total, mask in out.items():
             t2 = tuple(a + b for a, b in zip(total, d))
-            if t2 not in out and t2 not in new:
+            if t2 == zero or (t2 not in out and t2 not in new):
                 new[t2] = mask | (1 << i)
         out.update(new)
     return out

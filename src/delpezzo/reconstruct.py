@@ -5,27 +5,16 @@ feasibility verdicts, degree bounds, and singularity-count bounds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import (
-    CapacityExceeded,
-    Infeasible,
-    LengthMismatch,
-    MixedIndex,
-    NotRealizable,
+from .errors import Infeasible, LengthMismatch, MixedIndex, NotRealizable
+from .exactalg import IntMatrix, RationalFunction, graver_basis, int_kernel, int_solve
+from .hilbert import (
+    DeltaVector, degree_contribution, orbifold_contribution, split_series, zero_delta,
 )
-from .exactalg import (
-    IntMatrix,
-    RationalFunction,
-    _column_echelon,
-    int_kernel,
-    int_solve,
-)
-from .hilbert import DeltaVector, degree_contribution, orbifold_contribution, split_series
 from .quiver import (
     IndecMultiset,
     contains_cancelling_tuple,
@@ -52,7 +41,8 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
     pairs = set()
     for key in classes:
         inv = _canonical(hyperplane_inverse(Singularity(*key))).iso_key()
-        assert inv in classes
+        if inv not in classes:
+            raise RuntimeError(f"the hyperplane inverse {inv} of {key} is not residual")
         pairs.add(frozenset((key, inv)))
     reps = []
     for pair in sorted(pairs, key=min):
@@ -62,7 +52,8 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
             for m in members
             if next(x for x in orbifold_contribution(m).entries if x) > 0
         ]
-        assert len(positive) == 1, f"ambiguous representative in {pair}"
+        if len(positive) != 1:
+            raise RuntimeError(f"ambiguous representative in {pair}")
         reps.append(positive[0])
     return tuple(reps)
 
@@ -139,142 +130,19 @@ class ReducedBodyResult:
         )
 
 
-def _phi_matrix(ell: int) -> IntMatrix:
-    return IntMatrix.from_columns(
-        [orbifold_contribution(s).entries for s in res_plus(ell)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _footprints(ell: int) -> tuple:
-    """Shattering pair counts for each Res+ class and its inverse class.
-
-    Pair counts are isomorphism invariants (dualizing mirrors the quiver,
-    fixing each dual pair of vertices), so the canonical representatives
-    stand in for their classes.
-    """
-    out = []
-    for s, inv in zip(res_plus(ell), _inverse_keys(ell)):
-        out.append(
-            (
-                maximal_shattering([_canonical(s)]).pair_counts(),
-                maximal_shattering([Singularity(*inv)]).pair_counts(),
-            )
-        )
-    return tuple(out)
-
-
-def _lattice_points(x0, gens, lows, highs, budget):
-    """Integer points of the affine lattice x0 + Z<gens> inside a box.
-
-    Walks an echelonized generator basis so each coefficient is pinned by
-    one pivot row; the box bounds on pivot rows keep every range finite.
-    """
-    dim = len(x0)
-    if not gens:
-        if all(l <= x <= h for x, l, h in zip(x0, lows, highs)):
-            yield tuple(x0)
-        return
-    echelon, _, pivots = _column_echelon(IntMatrix.from_columns(list(gens)))
-    cols = [
-        tuple(echelon[i][c] for i in range(dim)) for _, c in pivots
-    ]
-
-    def rec(j, current):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityExceeded("lattice scan exceeded node cap")
-        if j == len(cols):
-            if all(l <= x <= h for x, l, h in zip(current, lows, highs)):
-                yield tuple(current)
-            return
-        row = pivots[j][0]
-        step = cols[j][row]
-        assert step != 0
-        # later columns vanish on this pivot row, so it pins lambda_j
-        ends = sorted(
-            (
-                Fraction(lows[row] - current[row], step),
-                Fraction(highs[row] - current[row], step),
-            )
-        )
-        lam_lo, lam_hi = math.ceil(ends[0]), math.floor(ends[1])
-        for lam in range(lam_lo, lam_hi + 1):
-            nxt = [x + lam * c for x, c in zip(current, cols[j])]
-            yield from rec(j + 1, nxt)
-
-    yield from rec(0, list(x0))
-
-
-@lru_cache(maxsize=None)
-def _kernel_echelon(ell: int):
-    gens = int_kernel(_phi_matrix(ell))
-    return tuple(tuple(g) for g in gens)
-
-
-def _has_cancelling_vector(ell: int, v: tuple, budget) -> bool:
-    """Whether some nonzero kernel element of Phi+ sits inside v
-    (sign-compatibly, coordinate-wise); equivalently, whether the basket
-    phi(v) contains a cancelling tuple."""
-    gens = _kernel_echelon(ell)
-    lows = tuple(min(0, x) for x in v)
-    highs = tuple(max(0, x) for x in v)
-    zero = (0,) * len(v)
-    for w in _lattice_points(zero, gens, lows, highs, budget):
-        if w != zero:
-            return True
-    return False
-
-
-def _groupings_for_pool(ell: int, pool: tuple, node_cap: int) -> list[Basket]:
-    """Cancelling-tuple-free baskets of residuals whose maximal shattering
-    has the given pair counts.
-
-    A basket is encoded by its signed Res+ vector v; the pair counts of its
-    shattering are sum |v_i| * footprint(class chosen by sign(v_i)).  Per
-    sign pattern this is a linear system over nonnegative integers, solved
-    exactly through the integer kernel.
-    """
-    reps = res_plus(ell)
-    m = len(reps)
-    if m > 14:
-        raise CapacityExceeded(f"|Res+({ell})| = {m} sign patterns too many")
-    fps = _footprints(ell)
-    budget = [node_cap]
-    vectors = set()
-    for pattern in itertools.product((1, -1), repeat=m):
-        cols = [fps[i][0] if pattern[i] == 1 else fps[i][1] for i in range(m)]
-        matrix = IntMatrix.from_columns([list(c) for c in cols])
-        x0 = int_solve(matrix, list(pool))
-        if x0 is None:
-            continue
-        gens = int_kernel(matrix)
-        highs = [
-            min(pj // cij for pj, cij in zip(pool, col) if cij)
-            for col in cols
-        ]
-        for x in _lattice_points(list(x0), gens, [0] * m, highs, budget):
-            vectors.add(tuple(p * xi for p, xi in zip(pattern, x)))
-    out = []
-    for v in sorted(vectors):
-        if not _has_cancelling_vector(ell, v, budget):
-            out.append(SignedBasketVector(ell, v).basket())
-    return out
-
-
 def enumerate_reduced_baskets(
-    ell: int,
-    delta: DeltaVector,
-    max_mu: Optional[int] = None,
-    node_cap: int = 5_000_000,
-    jobs: int = 1,
+    ell: int, delta: DeltaVector, node_cap: int = 5_000_000
 ) -> ReducedBodyResult:
     """All cancelling-tuple-free baskets of residuals at local index l whose
     total orbifold contribution is delta.
 
-    Sweeps the shattering fiber T0 + mu*cycle for mu up to a derived bound;
-    a user cap below that bound raises CapacityExceeded rather than
-    returning a silently truncated list.
+    Their signed Res+ vectors are the ⊑-minimal elements of the fiber
+    {v : Phi+ v = delta}, where u ⊑ v means same signs and entries no
+    larger in absolute value (a nonzero kernel vector under v is a
+    cancelling tuple).  These are the g[:-1] of the Graver elements g of
+    [Phi+ | -delta] with g[-1] = 1.  node_cap bounds the completion steps;
+    reaching it raises CapacityExceeded rather than returning a silently
+    truncated list.
     """
     if delta.local_index != ell:
         raise MixedIndex("delta has wrong local index")
@@ -284,9 +152,11 @@ def enumerate_reduced_baskets(
     if not lattice.contains(delta.entries):
         return ReducedBodyResult(ell, delta, False, None, (), (), ())
 
-    phi = _phi_matrix(ell)
+    columns = [orbifold_contribution(s).entries for s in res_plus(ell)]
+    phi = IntMatrix.from_columns(columns)
     particular = int_solve(phi, list(delta.entries))
-    assert particular is not None
+    if particular is None:
+        raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
     kernel = tuple(tuple(v) for v in int_kernel(phi))
     vec = SignedBasketVector(ell, tuple(particular))
 
@@ -297,54 +167,22 @@ def enumerate_reduced_baskets(
             kernel, ((),), (Fraction(0),),
         )
 
-    base = vec.basket()
-    t0 = maximal_shattering(base)
-    pairs = list(t0.pair_counts())
-    cycle = [1] + [2] * (len(pairs) - 2) + [1]
-    reductions = 0
-    while all(p >= c for p, c in zip(pairs, cycle)):
-        pairs = [p - c for p, c in zip(pairs, cycle)]
-        reductions += 1
-    mu_required = reductions + (1 + t0.size) * (ell + 1)
-    if max_mu is not None and max_mu < mu_required:
-        raise CapacityExceeded(
-            f"sweep cap mu={max_mu} is below the completeness bound "
-            f"mu={mu_required}"
-        )
-
-    pools = [
-        tuple(p + mu * c for p, c in zip(pairs, cycle))
-        for mu in range(mu_required + 1)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunks = ex.map(
-                _groupings_for_pool,
-                itertools.repeat(ell),
-                pools,
-                itertools.repeat(node_cap),
-            )
-            chunks = list(chunks)
-    else:
-        chunks = [_groupings_for_pool(ell, pool, node_cap) for pool in pools]
-
-    found = {}
-    for chunk in chunks:
-        for b in chunk:
-            found.setdefault(tuple(s.iso_key() for s in b), b)
-    baskets = [found[k] for k in sorted(found)]
+    lifted = IntMatrix.from_columns(columns + [tuple(-x for x in delta.entries)])
+    minimal = [g[:-1] for g in graver_basis(lifted, node_cap) if g[-1] == 1]
+    baskets = sorted(
+        (SignedBasketVector(ell, v).basket() for v in minimal),
+        key=lambda b: tuple(s.iso_key() for s in b),
+    )
     # soundness: re-verify the exact Q-sum and cancelling-freeness
     for b in baskets:
-        total = [0] * (ell - 2)
-        for s in b:
-            for i, x in enumerate(orbifold_contribution(s).entries):
-                total[i] += x
-        assert tuple(total) == delta.entries
-        assert contains_cancelling_tuple(b) is None
+        total = sum((orbifold_contribution(s) for s in b), zero_delta(ell))
+        if total != delta:
+            raise RuntimeError(f"basket {b} has {total}, not {delta}")
+        if contains_cancelling_tuple(b) is not None:
+            raise RuntimeError(f"basket {b} contains a cancelling tuple")
     rk2 = tuple(sum((degree_contribution(s) for s in b), Fraction(0)) for b in baskets)
-    assert len({x - int(x) for x in map(Fraction, rk2)}) <= 1
+    if len({x % 1 for x in rk2}) > 1:
+        raise RuntimeError(f"RK^2 values {rk2} differ modulo 1")
     return ReducedBodyResult(ell, delta, True, vec, kernel, tuple(baskets), rk2)
 
 
@@ -369,14 +207,12 @@ class FeasibilityReport:
     bodies: dict = field(hash=False, default_factory=dict)
 
 
-def analyze_series(
-    h: RationalFunction, max_mu: Optional[int] = None, jobs: int = 1
-) -> FeasibilityReport:
+def analyze_series(h: RationalFunction) -> FeasibilityReport:
     """Assess every combination of per-index reduced baskets against the
     invisible-basket degree budget IK^2 = 12 - K^2 - RK^2."""
     k2, parts = split_series(h)
     bodies = {
-        ell: enumerate_reduced_baskets(ell, dv, max_mu=max_mu, jobs=jobs)
+        ell: enumerate_reduced_baskets(ell, dv)
         for ell, dv in sorted(parts.items())
     }
     for ell, body in bodies.items():
@@ -437,7 +273,8 @@ def degree_bounds(
 def count_bound(q: dict, ell_star: int) -> int:
     """N(Q, l*): a bound on the number of singular points of any del Pezzo
     orbifold with local indices up to l* and total contributions Q."""
-    assert ell_star >= 1
+    if ell_star < 1:
+        raise ValueError(f"l* must be positive, got {ell_star}")
     bodies = {}
     for ell, dv in sorted(q.items()):
         body = enumerate_reduced_baskets(ell, dv)

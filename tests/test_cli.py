@@ -18,6 +18,7 @@ from delpezzo import (
     basket,
     count_bound,
     degree_bounds,
+    degree_contribution,
     enumerate_reduced_baskets,
     orbifold_contribution,
 )
@@ -113,6 +114,16 @@ class TestAnalyze:
         assert "verdict=FEASIBLE" in lines
         assert "toric=IMPOSSIBLE" in lines
 
+    @pytest.mark.parametrize("point", ["1/7(1,1)", "1/9(1,1)"])
+    def test_single_point_at_seven_and_nine(self, point):
+        # K^2 = 10 - RK^2 leaves the invisible budget IK^2 = 2 for the point
+        rk2 = degree_contribution(Singularity.parse(point))
+        h = run("series", "--k2", str(10 - rk2), point).stdout.splitlines()[1]
+        p = run("analyze", h.removeprefix("H="))
+        assert p.returncode == 0
+        want = f": {point} RK2={rk2} IK2=2 FEASIBLE"
+        assert any(ln.endswith(want) for ln in p.stdout.splitlines())
+
     def test_plane_budget(self):
         p = run("analyze", "(1+7*t+t^2)/(1-t)^3")
         lines = p.stdout.splitlines()
@@ -174,5 +185,22 @@ class TestExitCodes:
 
     def test_determinism_across_jobs(self):
         a = run("reduce", "5", "8,-1,8")
-        b = run("reduce", "--jobs", "2", "5", "8,-1,8")
+        b = run("reduce", "5", "8,-1,8")
+        assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("reduce", "5", "1,2"),
+            ("count-bound", "0", "5:2,1,2"),
+            ("quiver", "-3"),
+            ("delta-rank", "0"),
+            ("bounds", "--nmin", "-1", "1/5(1,1)"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_named_without_traceback(self, args):
+        p = run(*args)
+        assert p.returncode in (1, 2)
+        assert "Traceback" not in p.stderr

@@ -13,11 +13,12 @@ from math import gcd
 
 import pytest
 
-from delpezzo.errors import NotCoprime
+from delpezzo.errors import CapacityExceeded, NotCoprime
 from delpezzo.exactalg import (
     IntMatrix,
     RationalFunction,
     cyclotomic,
+    graver_basis,
     int_kernel,
     int_rank,
     int_solve,
@@ -217,6 +218,33 @@ class TestIntLinearAlgebra:
                     continue
                 assert K is not None
                 assert int_solve(K, v) is not None
+
+
+class TestGraverBasis:
+    @pytest.mark.parametrize(
+        "rows",
+        # the int_kernel basis of the last holds (2, -2, -3, 3), which is
+        # not a Graver element, so the final filter must drop it
+        [[[1, 1, 1, 1], [0, 1, 2, 3]], [[1, 2, 3]], [[-3, -3, 2, 2], [0, 3, -2, 0]]],
+    )
+    def test_equals_minimal_kernel_vectors_in_a_box(self, rows):
+        """The Graver elements of these matrices have entries of size at
+        most 4, so they are the conformally minimal nonzero kernel vectors
+        of the box [-4, 4]^n (anything under a box vector is in the box)."""
+        m = IntMatrix.from_rows(rows)
+        box = itertools.product(range(-4, 5), repeat=m.cols)
+        kernel = [v for v in box if any(v) and not any(m.apply(v))]
+
+        def under(u, v):
+            return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(u, v))
+
+        expected = {v for v in kernel if not any(u != v and under(u, v) for u in kernel)}
+        got = graver_basis(m)
+        assert len(got) == len(set(got)) and set(got) == expected
+
+    def test_node_cap_reports_work_done(self):
+        with pytest.raises(CapacityExceeded, match="2 pairs reduced, \\|G\\| = "):
+            graver_basis(IntMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]), node_cap=2)
 
 
 class TestRationalFunction:

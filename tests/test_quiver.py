@@ -194,6 +194,17 @@ class TestCancellingTuples:
             total = total + orbifold_contribution(s)
         assert total.is_zero
 
+    def test_cancelling_pair_within_one_half(self):
+        # 1/10(1,3) and 1/15(1,2) have delta (-1,-3,-1) and (1,3,1); both
+        # fall in the first half of the meet-in-the-middle split
+        b = [Singularity(10, 3), Singularity(15, 2), Singularity(20, 3), Singularity(20, 3)]
+        found = contains_cancelling_tuple(b)
+        assert found is not None
+        total = zero_delta(5)
+        for s in found:
+            total = total + orbifold_contribution(s)
+        assert total.is_zero
+
     def test_shattered_t_cones_cancel(self):
         for ell in (3, 5, 7):
             t = elementary_t(ell, residual_quiver(ell).vertices[0])

@@ -131,12 +131,7 @@ class TestEnumeratePinned:
 
     def test_capacity_ceiling_is_explicit(self):
         with pytest.raises(CapacityExceeded):
-            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), max_mu=0)
-
-    def test_parallel_run_is_deterministic(self):
-        a = enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), jobs=1)
-        b = enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), jobs=2)
-        assert a.baskets == b.baskets and a.vectors == b.vectors
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
 
 
 class TestEnumerateOracle:
@@ -151,6 +146,42 @@ class TestEnumerateOracle:
         got = {basket_key(b) for b in res.baskets}
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "point", [Singularity(16, 1), hyperplane_inverse(Singularity(48, 5))], ids=str
+    )
+    def test_agrees_with_coordinate_box_enumerator_at_eight(self, point):
+        delta = orbifold_contribution(point)
+        expected = {
+            basket_key(SignedBasketVector(8, v).basket())
+            for v in brute_force_vectors(8, delta)
+        }
+        got = {basket_key(b) for b in enumerate_reduced_baskets(8, delta).baskets}
+        assert got == expected
+
+    @pytest.mark.parametrize("point", [Singularity(42, 11), Singularity(72, 7)], ids=str)
+    def test_minimal_and_complete_in_unit_box(self, point):
+        """At l = 7 and 9 (nine Res+ classes) a full box scan is too slow:
+        check that each returned vector is in the fiber with no nonzero
+        kernel vector under it, and that every fiber vector with entries in
+        {-1, 0, 1} lies above a returned one."""
+        ell = point.local_index
+        delta = orbifold_contribution(point)
+        qs = [orbifold_contribution(s).entries for s in res_plus(ell)]
+
+        def image(v):
+            return tuple(sum(c * q[i] for c, q in zip(v, qs)) for i in range(ell - 2))
+
+        zero = (0,) * (ell - 2)
+        vectors = enumerate_reduced_baskets(ell, delta).vectors
+        assert vectors
+        for v in vectors:
+            assert image(v) == delta.entries
+            below = itertools.product(*(range(min(0, x), max(0, x) + 1) for x in v))
+            assert all(image(w) != zero for w in below if any(w)), v
+        for w in itertools.product((-1, 0, 1), repeat=len(qs)):
+            if image(w) == delta.entries:
+                assert any(features_in(w, v) for v in vectors), w
+
     def test_soundness_exact_q_sum_and_no_cancelling(self):
         for entries in [(2, 1, 2), (1, -2, 1), (1, 3, 1), (8, -1, 8)]:
             delta = DeltaVector(5, entries)
@@ -162,10 +193,18 @@ class TestEnumerateOracle:
                 assert total == delta
                 assert contains_cancelling_tuple(b) is None
 
-    def test_rk2_congruent_mod_one(self):
-        res = enumerate_reduced_baskets(5, DeltaVector(5, (8, -1, 8)))
-        fracs = {rk - int(rk) for rk in res.per_basket_rk2}
-        assert len(fracs) == 1
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            DeltaVector(5, (8, -1, 8)),
+            orbifold_contribution(Singularity(48, 17)),
+            orbifold_contribution(Singularity(24, 13)),
+        ],
+        ids=["5:8,-1,8", "1/48(1,17)", "1/24(1,13)"],
+    )
+    def test_rk2_congruent_mod_one(self, delta):
+        res = enumerate_reduced_baskets(delta.local_index, delta)
+        assert len({rk % 1 for rk in res.per_basket_rk2}) == 1
 
 
 class TestSignedBasketVector:
