@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DelPezzoError, Infeasible, ParseError
+from .errors import DelPezzoError, Infeasible, InvalidWeight, ParseError
 from .hilbert import (
     DeltaVector,
     assemble_series,
@@ -165,6 +165,8 @@ def emit(args, payload: dict, lines: list) -> None:
 
 def cmd_contrib(args) -> int:
     s = Singularity.parse(args.singularity)
+    if s.is_smooth:
+        raise InvalidWeight(f"{s} is the smooth point: no orbifold contribution")
     dv = orbifold_contribution(s)
     lines = [
         f"delta={fmt_delta(dv, args.full_delta)}",

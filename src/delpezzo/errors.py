@@ -21,10 +21,6 @@ class NotResidual(DelPezzoError):
     """Operation requires a residual singularity."""
 
 
-class LocalIndexMismatch(DelPezzoError):
-    """Operands have different local indices."""
-
-
 class MixedIndex(DelPezzoError):
     """Basket mixes local indices where a single one is required."""
 

@@ -30,12 +30,6 @@ from .exactalg import (
 )
 from .singularity import Basket, Singularity, basket_pieces
 
-# The degree formula takes Hirzebruch-Jung data from the minimal resolution,
-# whose chain is the expansion of r/a.  The alternative reading r/(a+1)
-# fails the T-singularity law A = d, so r/a is pinned here.
-HJ_DEGREE_CONVENTION = "r/a"
-
-
 # ---------------------------------------------------------------------------
 # Dedekind sums
 
@@ -100,9 +94,6 @@ class DeltaVector:
     def __neg__(self) -> "DeltaVector":
         return DeltaVector(self.local_index, tuple(-x for x in self.entries))
 
-    def scale(self, s: int) -> "DeltaVector":
-        return DeltaVector(self.local_index, tuple(s * x for x in self.entries))
-
     def rational_function(self) -> RationalFunction:
         """The contribution (delta_1 t + ... ) / (l (1 - t^l))."""
         ell = self.local_index
@@ -115,28 +106,60 @@ def zero_delta(ell: int) -> DeltaVector:
     return DeltaVector(ell, (0,) * max(0, ell - 2))
 
 
+def _dedekind_totals(r: int, a: int) -> list[int]:
+    """T(i) = sum_j j*(u(i+j) mod r) for i = 0..r-1, where u = -a^-1 mod r,
+    so that dedekind_sum(r, a, i) = T(i)/r^2 - (r-1)^2/(4r).
+
+    One O(r) sum gives T(0); shifting j by one gives the O(1) step
+    T(i+1) = T(i) + r*(u*i mod r) - r(r-1)/2.
+    """
+    u = -pow(a, -1, r) % r
+    half = r * (r - 1) // 2
+    totals = [sum(j * (u * j % r) for j in range(r))]
+    for i in range(r - 1):
+        totals.append(totals[-1] + r * (u * i % r) - half)
+    return totals
+
+
+def _periodic_quotient(coeffs: Sequence[int], ell: int) -> list[int]:
+    """coeffs / (1 + t^l + ... + t^(n-l)) for n = len(coeffs), a multiple of l.
+
+    The quotient has degree below l, so the division is exact exactly when
+    the n coefficients are l-periodic, and the quotient is then the first l.
+    """
+    head = list(coeffs[:ell])
+    if any(x != head[k % ell] for k, x in enumerate(coeffs)):
+        raise RuntimeError(f"numerator is not {ell}-periodic: inexact division")
+    return head
+
+
 @lru_cache(maxsize=None)
 def orbifold_contribution(s: Singularity) -> DeltaVector:
-    """Delta-vector of Q_s; the zero vector exactly for T-singularities."""
+    """Delta-vector of Q_s; the zero vector exactly for T-singularities.
+
+    Coefficient k of the numerator of Q_s over 1 - t^r is
+    dedekind_sum(r, a, (a+1)(k+1)) - dedekind_sum(r, a, 0), i.e.
+    (T((a+1)(k+1)) - T(0))/r^2 with T from _dedekind_totals, so the whole
+    computation takes O(r) integer steps.
+    """
     ell = s.local_index
     if s.is_smooth:
         return zero_delta(ell)
     r, a = s.r, s.a
-    # numerator of Q_s over (1 - t^r), from the Dedekind-sum formula
-    d0 = dedekind_sum(r, a, 0)
-    num = poly([dedekind_sum(r, a, (a + 1) * i) - d0 for i in range(1, r + 1)])
-    if not num:
-        return zero_delta(ell)
-    # reduce to the l(1 - t^l) form: divide by 1 + t^l + ... + t^(r-l)
-    comb = poly([1 if i % ell == 0 else 0 for i in range(r - ell + 1)])
-    reduced = poly_div_exact(num, comb)
-    full = [Fraction(0)] * ell
-    for i, x in enumerate(reduced):
-        full[i] = ell * Fraction(x)
-    assert all(x.denominator == 1 for x in full), "non-integral delta"
-    assert full[0] == 0 and full[ell - 1] == 0, "nonzero delta ends"
-    entries = tuple(int(x) for x in full[1 : ell - 1])
-    assert entries == entries[::-1], "delta-vector not palindromic"
+    totals = _dedekind_totals(r, a)
+    # r^2 times the numerator over 1 - t^r, reduced to the l(1 - t^l) form
+    num = [totals[(a + 1) * (k + 1) % r] - totals[0] for k in range(r)]
+    full = []
+    for x in _periodic_quotient(num, ell):
+        q, rem = divmod(ell * x, r * r)
+        if rem:
+            raise RuntimeError(f"non-integral delta for {s}")
+        full.append(q)
+    if full[0] or full[-1]:
+        raise RuntimeError(f"nonzero delta ends for {s}")
+    entries = tuple(full[1:-1])
+    if entries != entries[::-1]:
+        raise RuntimeError(f"delta-vector of {s} not palindromic")
     return DeltaVector(ell, entries)
 
 
@@ -202,6 +225,8 @@ def degree_contribution(s: Singularity) -> Fraction:
     """A_s = m + 1 - sum d_i^2 b_i + 2 sum d_i d_{i+1}."""
     if s.is_smooth:
         return Fraction(0)
+    # Hirzebruch-Jung data of the minimal resolution, whose chain expands
+    # r/a; the reading r/(a+1) fails the T-singularity law A = d.
     exp = hj_expansion(s.r, s.a)
     b = exp.terms
     d = discrepancies(exp)
@@ -321,9 +346,10 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     return k_squared, dict(sorted(parts.items()))
 
 
-def _candidate_indices(den: Sequence) -> list[int]:
-    """Indices l >= 2 whose cyclotomic polynomial divides den, closed under
-    least common multiples."""
+def _candidate_indices(den: Sequence) -> tuple[list[int], list[int]]:
+    """(base, closed): the sorted indices l >= 2 whose cyclotomic polynomial
+    divides den, and that set closed under least common multiples (within
+    the scan bound)."""
     from .exactalg import poly_divmod
 
     import cmath

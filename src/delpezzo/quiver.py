@@ -23,19 +23,6 @@ from .singularity import (
 )
 
 
-def _totient(n: int) -> int:
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
 @lru_cache(maxsize=None)
 def indecomposables(ell: int) -> tuple[Singularity, ...]:
     """The phi(l) indecomposables at local index l, in quiver cycle order.
@@ -155,9 +142,6 @@ class IndecMultiset:
             self.local_index,
             tuple(a + b for a, b in zip(self.counts, other.counts)),
         )
-
-    def scale(self, s: int) -> "IndecMultiset":
-        return IndecMultiset(self.local_index, tuple(s * c for c in self.counts))
 
     @property
     def size(self) -> int:
@@ -326,7 +310,10 @@ def delta_lattice(ell: int) -> DeltaLattice:
         tuple(echelon[i][c] for i in range(len(gens[0])))
         for _, c in pivots
     )
-    assert len(basis) == rank
+    if len(basis) != rank:
+        raise RuntimeError(
+            f"delta-lattice basis at l={ell} has {len(basis)} rows, rank {rank}"
+        )
     return DeltaLattice(ell, gens, rank, basis)
 
 

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     DegenerateCone,
-    LocalIndexMismatch,
     NotResidual,
     ParseError,
 )
@@ -326,57 +325,6 @@ def maximal_shatter(s: Singularity) -> list[Singularity]:
         )
         for i in range(len(cuts) - 1)
     ]
-
-
-class EmptyGlue:
-    """Marker: the two singularities are directly hyperplane summable."""
-
-    _instance: Optional["EmptyGlue"] = None
-
-    def __new__(cls) -> "EmptyGlue":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EmptyGlue()"
-
-
-EMPTY_GLUE = EmptyGlue()
-
-
-def gluing_cone(s1: Singularity, s2: Singularity, max_width: int = 0):
-    """Minimal-width cone g with s1*g and g*s2 defined.
-
-    Returns EMPTY_GLUE when s1*s2 is already defined.  The scan is capped at
-    max_width (default 4*l) and asserts on overflow, which the cycle
-    structure of the residual quiver rules out for valid inputs.
-    """
-    ell, k1, c1 = s1.invariants()
-    if ell != s2.local_index:
-        raise LocalIndexMismatch(
-            f"local indices differ: {ell} vs {s2.local_index}"
-        )
-    if hyperplane_sum(s1, s2) is not None:
-        return EMPTY_GLUE
-    k2 = s2.width
-    cap = max_width or 4 * ell
-    for w in range(1, cap + 1):
-        mid = (k1 * ell, 1 - k1 * c1)
-        glue_end = ((k1 + w) * ell, 1 - (k1 + w) * c1)
-        if gcd(glue_end[0], glue_end[1]) != 1:
-            continue
-        glue = _normalize_pair(mid, glue_end)
-        total_end = ((k1 + w + k2) * ell, 1 - (k1 + w + k2) * c1)
-        if gcd(total_end[0], total_end[1]) != 1:
-            continue
-        try:
-            tail = _normalize_pair(glue_end, total_end)
-        except DegenerateCone:
-            continue
-        if tail == s2:
-            return glue
-    raise AssertionError(f"no gluing cone of width <= {cap} for {s1}, {s2}")
 
 
 # ---------------------------------------------------------------------------

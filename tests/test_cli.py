@@ -197,10 +197,12 @@ class TestExitCodes:
             ("quiver", "-3"),
             ("delta-rank", "0"),
             ("bounds", "--nmin", "-1", "1/5(1,1)"),
+            ("contrib", "1/1(1,0)"),
         ],
         ids=" ".join,
     )
     def test_bad_input_is_named_without_traceback(self, args):
         p = run(*args)
         assert p.returncode in (1, 2)
+        assert "error:" in p.stderr
         assert "Traceback" not in p.stderr

@@ -28,9 +28,15 @@ from delpezzo import (
     shatterings,
     split_series,
 )
+from delpezzo import hilbert
 from delpezzo.errors import ParseError
-from delpezzo.exactalg import poly, poly_inverse_mod, poly_mul
-from delpezzo.hilbert import initial_term, zero_delta
+from delpezzo.exactalg import poly, poly_div_exact, poly_inverse_mod, poly_mul
+from delpezzo.hilbert import (
+    _dedekind_totals,
+    _periodic_quotient,
+    initial_term,
+    zero_delta,
+)
 from delpezzo.reconstruct import residuals_of_index
 
 rng = random.Random(20260824)
@@ -127,6 +133,93 @@ class TestDeltaVectors:
                     q_sum = q_sum + orbifold_contribution(p)
                 assert q_sum == q
                 assert sum(degree_contribution(p) for p in parts) == a
+
+
+def _contribution_by_division(s):
+    """The defining formula, kept as the oracle: r Dedekind sums give the
+    numerator over 1 - t^r, then an exact division over Q by
+    1 + t^l + ... + t^(r-l) gives the numerator over l(1 - t^l)."""
+    ell, r, a = s.local_index, s.r, s.a
+    d0 = dedekind_sum(r, a, 0)
+    num = poly([dedekind_sum(r, a, (a + 1) * i) - d0 for i in range(1, r + 1)])
+    if not num:
+        return zero_delta(ell)
+    comb = poly([1 if i % ell == 0 else 0 for i in range(r - ell + 1)])
+    full = [Fraction(0)] * ell
+    for i, x in enumerate(poly_div_exact(num, comb)):
+        full[i] = ell * Fraction(x)
+    assert all(x.denominator == 1 for x in full)
+    assert full[0] == 0 and full[ell - 1] == 0
+    return DeltaVector(ell, tuple(int(x) for x in full[1 : ell - 1]))
+
+
+class TestIntegerKernel:
+    """orbifold_contribution uses the O(r) totals recurrence; the Dedekind
+    sums and the long division over Q are its oracle."""
+
+    def test_totals_recurrence_matches_dedekind_sums(self):
+        for r in (2, 3, 12, 35, 97):
+            for a in range(1, r):
+                if gcd(r, a) != 1:
+                    continue
+                totals = _dedekind_totals(r, a)
+                assert len(totals) == r
+                for i, t in enumerate(totals):
+                    assert Fraction(t, r * r) - Fraction((r - 1) ** 2, 4 * r) == (
+                        dedekind_sum(r, a, i)
+                    ), (r, a, i)
+
+    def test_agrees_with_division_on_random_points(self):
+        local = random.Random(4711)
+        for _ in range(300):
+            r = local.randint(2, 300)
+            a = local.choice([x for x in range(1, r) if gcd(r, x) == 1])
+            s = Singularity(r, a)
+            assert orbifold_contribution(s) == _contribution_by_division(s), s
+
+    @pytest.mark.parametrize("r,a", [(1001, 3), (2003, 5)])
+    def test_agrees_with_division_at_large_order(self, r, a):
+        s = Singularity(r, a)
+        assert orbifold_contribution(s) == _contribution_by_division(s)
+
+    def test_periodic_quotient_is_exact_division(self):
+        """Dividing by 1 + t^l + ... + t^(n-l) is exact exactly when the n
+        coefficients are l-periodic; the quotient is then the first l."""
+        local = random.Random(1729)
+        for _ in range(400):
+            ell, m = local.randint(1, 8), local.randint(1, 6)
+            coeffs = [local.randint(-5, 5) for _ in range(ell)] * m
+            if m > 1 and local.random() < 0.5:
+                coeffs[local.randrange(ell * m)] += local.choice((-1, 1))
+            comb = poly([1 if i % ell == 0 else 0 for i in range(ell * (m - 1) + 1)])
+            try:
+                expected = poly_div_exact(poly(coeffs), comb)
+            except ValueError:
+                with pytest.raises(RuntimeError, match="periodic"):
+                    _periodic_quotient(coeffs, ell)
+            else:
+                assert poly(_periodic_quotient(coeffs, ell)) == expected
+
+    @pytest.mark.parametrize(
+        "bump,message",
+        [
+            # +1 on every total but T(0): l*(x+1)/r^2 is no integer
+            (lambda t: [t[0]] + [x + 1 for x in t[1:]], "non-integral"),
+            # +r^2 at T(a+1) raises delta_0 by l
+            (lambda t: t[:2] + [t[2] + 25] + t[3:], "ends"),
+            # +r^2 at T(2(a+1)) raises delta_1 but not delta_3
+            (lambda t: t[:4] + [t[4] + 25], "palindromic"),
+        ],
+        ids=["integral", "ends", "palindrome"],
+    )
+    def test_soundness_checks_raise(self, monkeypatch, bump, message):
+        """A corrupted totals list is caught by an explicit raise, which
+        also runs under python -O."""
+        s = Singularity(5, 1)
+        totals = _dedekind_totals(5, 1)
+        monkeypatch.setattr(hilbert, "_dedekind_totals", lambda r, a: bump(totals))
+        with pytest.raises(RuntimeError, match=message):
+            orbifold_contribution.__wrapped__(s)
 
 
 class TestDegreeContribution:
