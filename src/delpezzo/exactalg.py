@@ -3,7 +3,9 @@ and integer linear algebra via Hermite normal form.
 
 Polynomials are tuples of coefficients indexed by degree, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
-Fractions; operations never touch floats.
+Fractions; operations never touch floats.  The kernels build tuples from
+lists: tuple() of a generator allocates ten slots and resizes, so the tuples
+it frees pile up in CPython's per-size free lists and raise peak memory.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_neg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
@@ -62,31 +64,29 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 def poly_scale(a: Poly, s) -> Poly:
     if s == 0:
         return ()
-    return tuple(x * s for x in a)
-
-
-def poly_pow(a: Poly, n: int) -> Poly:
-    out: Poly = (1,)
-    base = a
-    while n:
-        if n & 1:
-            out = poly_mul(out, base)
-        base = poly_mul(base, base)
-        n >>= 1
-    return out
+    return tuple([x * s for x in a])
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over Q; b must be nonzero."""
+    """Quotient and remainder over Q; b must be nonzero.
+
+    A quotient coefficient stays an int whenever the leading coefficient of
+    b divides it, so dividing an integer polynomial by a monic or primitive
+    divisor of it stays in integers.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
+    rem = list(a)
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
     db = len(b) - 1
     for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i]:
-            c = rem[i] / lead
+        x = rem[i]
+        if x:
+            if type(x) is int and type(lead) is int and not x % lead:
+                c = x // lead
+            else:
+                c = Fraction(x) / lead
             quo[i - db] = c
             for j, y in enumerate(b):
                 rem[i - db + j] -= c * y
@@ -100,13 +100,54 @@ def poly_div_exact(a: Poly, b: Poly) -> Poly:
     return q
 
 
+def poly_primitive(a: Poly) -> Poly:
+    """a over the content of its integer coefficients, keeping the sign."""
+    g = poly_content(a)
+    return tuple([x // g for x in a]) if g > 1 else a
+
+
+def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
+    """A nonzero integer multiple of the remainder of a by b, both in Z[t].
+
+    Each step cancels the leading term as (l/g)*rem - (c/g)*t^k*b with
+    g = gcd(l, c), so the coefficients stay integers without Fractions.
+    """
+    rem = list(a)
+    lead = b[-1]
+    db = len(b) - 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            g = gcd(lead, c)
+            s, c = lead // g, c // g
+            if s != 1:
+                rem = [x * s for x in rem]
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+        rem.pop()
+    return poly(rem)
+
+
+def poly_gcd_primitive(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd in Z[t] of integer polynomials, leading coefficient
+    positive; () when both are zero.
+
+    Primitive polynomial remainder sequence (Brown, On Euclid's algorithm
+    and the computation of polynomial greatest common divisors, JACM 1971):
+    pseudo-remainders with the content divided out at each step.
+    """
+    a, b = poly_primitive(poly(a)), poly_primitive(poly(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, poly_primitive(_pseudo_remainder(a, b))
+    return poly_neg(a) if a and a[-1] < 0 else a
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_scale(a, Fraction(1, 1) / Fraction(a[-1]))
+    g = poly_gcd_primitive(poly_to_int(a)[0], poly_to_int(b)[0])
+    return tuple(Fraction(x, g[-1]) for x in g)
 
 
 def poly_eval(a: Poly, x):
@@ -130,7 +171,7 @@ def poly_to_int(a: Poly) -> tuple[Poly, int]:
     for x in a:
         if isinstance(x, Fraction):
             denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in a), denom
+    return tuple([int(x * denom) for x in a]), denom
 
 
 def poly_inverse_mod(f: Poly, h: Poly) -> Poly:
@@ -186,28 +227,22 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if not n:
             return RationalFunction((), (1,))
-        g = poly_gcd(n, d)
+        n, dn = poly_to_int(n)
+        d, dd = poly_to_int(d)
+        n, d = poly_scale(n, dd), poly_scale(d, dn)
+        # the primitive gcd divides both in Z[t] by Gauss's lemma
+        g = poly_gcd_primitive(n, d)
         if len(g) > 1:
             n = poly_div_exact(n, g)
             d = poly_div_exact(d, g)
-        n, dn = poly_to_int(n)
-        d, dd = poly_to_int(d)
-        n = poly_scale(n, dd)
-        d = poly_scale(d, dn)
-        cn, cd = poly_content(n), poly_content(d)
-        g = gcd(cn, cd)
+        g = gcd(poly_content(n), poly_content(d))
         if g > 1:
-            n = tuple(x // g for x in n)
-            d = tuple(x // g for x in d)
+            n = tuple([x // g for x in n])
+            d = tuple([x // g for x in d])
         low = next(x for x in d if x)
         if low < 0:
             n, d = poly_neg(n), poly_neg(d)
         return RationalFunction(n, d)
-
-    @staticmethod
-    def from_fraction(q) -> "RationalFunction":
-        q = Fraction(q)
-        return RationalFunction.make((q.numerator,), (q.denominator,))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(

@@ -4,6 +4,7 @@ degree contributions, and Hilbert-series assembly/decomposition.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,10 +24,11 @@ from .exactalg import (
     RationalFunction,
     cyclotomic,
     poly,
-    poly_div_exact,
-    poly_eval,
+    poly_content,
+    poly_divmod,
     poly_mul,
-    poly_sub,
+    poly_primitive,
+    poly_scale,
 )
 from .singularity import Basket, Singularity, basket_pieces
 
@@ -88,11 +90,11 @@ class DeltaVector:
             raise ValueError("local indices differ")
         return DeltaVector(
             self.local_index,
-            tuple(x + y for x, y in zip(self.entries, other.entries)),
+            tuple([x + y for x, y in zip(self.entries, other.entries)]),
         )
 
     def __neg__(self) -> "DeltaVector":
-        return DeltaVector(self.local_index, tuple(-x for x in self.entries))
+        return DeltaVector(self.local_index, tuple([-x for x in self.entries]))
 
     def rational_function(self) -> RationalFunction:
         """The contribution (delta_1 t + ... ) / (l (1 - t^l))."""
@@ -172,12 +174,6 @@ class HJExpansion:
     target: Fraction
     terms: tuple
 
-    def evaluate(self) -> Fraction:
-        val: Optional[Fraction] = None
-        for b in reversed(self.terms):
-            val = Fraction(b) if val is None else b - 1 / val
-        return self.target if val is None else val
-
 
 def hj_expansion(p: int, q: int) -> HJExpansion:
     """Continued-fraction expansion p/q = b1 - 1/(b2 - 1/(...)), b_i >= 2."""
@@ -222,19 +218,18 @@ def discrepancies(expansion: HJExpansion) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def degree_contribution(s: Singularity) -> Fraction:
-    """A_s = m + 1 - sum d_i^2 b_i + 2 sum d_i d_{i+1}."""
+    """A_s = m + 3 - sum (b_i - 2) - (2 + a + a^-1 mod r)/r.
+
+    Here b_1..b_m is the Hirzebruch-Jung expansion of r/a, the chain of the
+    minimal resolution (the reading r/(a+1) fails the T-singularity law
+    A = d).  This closed form equals m + 1 - sum d_i^2 b_i
+    + 2 sum d_i d_{i+1} with d = discrepancies(...), without the solve.
+    """
     if s.is_smooth:
         return Fraction(0)
-    # Hirzebruch-Jung data of the minimal resolution, whose chain expands
-    # r/a; the reading r/(a+1) fails the T-singularity law A = d.
-    exp = hj_expansion(s.r, s.a)
-    b = exp.terms
-    d = discrepancies(exp)
-    m = len(b)
-    val = Fraction(m + 1)
-    val -= sum((d[i] ** 2) * b[i] for i in range(m))
-    val += 2 * sum(d[i] * d[i + 1] for i in range(m - 1))
-    return val
+    r, a = s.r, s.a
+    b = hj_expansion(r, a).terms
+    return len(b) + 3 - sum(x - 2 for x in b) - Fraction(2 + a + pow(a, -1, r), r)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +345,6 @@ def _candidate_indices(den: Sequence) -> tuple[list[int], list[int]]:
     """(base, closed): the sorted indices l >= 2 whose cyclotomic polynomial
     divides den, and that set closed under least common multiples (within
     the scan bound)."""
-    from .exactalg import poly_divmod
-
-    import cmath
-
     den = poly(den)
     deg = len(den) - 1
     # phi(n) <= deg is necessary; phi(n) >= sqrt(n/2) bounds the scan
@@ -439,49 +430,59 @@ def _solve_delta_system(
     if not bases:
         return None
 
-    # common denominator: product over candidate (1 - t^l) terms and den(R)
+    # remainder = num / (c * den') with den' primitive; over the common
+    # denominator prod (1 - t^l) every part is an integer polynomial
+    one_minus = {ell: poly([1] + [0] * (ell - 1) + [-1]) for ell in candidates}
     common = poly((1,))
-    for ell in candidates:
-        common = poly_mul(common, poly([1] + [0] * (ell - 1) + [-1]))
-    from .exactalg import poly_divmod
-
-    if poly_divmod(common, remainder.den)[1]:
+    for f in one_minus.values():
+        common = poly_mul(common, f)
+    c = poly_content(remainder.den)
+    cofactor, rest = poly_divmod(common, poly_primitive(remainder.den))
+    if rest:
         # remainder denominator must divide the product of (1 - t^l)
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
 
-    rhs_poly = poly_mul(remainder.num, poly_div_exact(common, remainder.den))
-    col_polys = []
-    for ell, entries in bases:
-        num = poly([0, *entries])
-        den = poly([ell] + [0] * (ell - 1) + [-ell])
-        col = poly_mul(num, poly_div_exact(common, den))
-        col_polys.append(col)
+    # times L * c * common, L = lcm of the candidates, the part
+    # N_l / (l (1 - t^l)) is c * L/l * N_l * common/(1 - t^l) and the
+    # remainder is L * num * cofactor
+    lcm = 1
+    for ell in candidates:
+        lcm = lcm * ell // gcd(lcm, ell)
+    rhs_poly = poly_scale(poly_mul(remainder.num, cofactor), lcm)
+    scaled = {
+        ell: poly_scale(poly_divmod(common, f)[0], c * (lcm // ell))
+        for ell, f in one_minus.items()
+    }
+    col_polys = [poly_mul(poly([0, *entries]), scaled[ell]) for ell, entries in bases]
 
-    nrows = max([len(rhs_poly)] + [len(c) for c in col_polys])
+    nrows = max([len(rhs_poly)] + [len(col) for col in col_polys])
     matrix = [
-        [Fraction(c[i]) if i < len(c) else Fraction(0) for c in col_polys]
-        for i in range(nrows)
+        [col[i] if i < len(col) else 0 for col in col_polys] for i in range(nrows)
     ]
-    rhs = [
-        Fraction(rhs_poly[i]) if i < len(rhs_poly) else Fraction(0)
-        for i in range(nrows)
-    ]
+    rhs = [rhs_poly[i] if i < len(rhs_poly) else 0 for i in range(nrows)]
 
     coeffs = _gauss_solve_unique(matrix, rhs)
     if coeffs is None:
         return None
     out: dict[int, list] = {}
-    for (ell, entries), c in zip(bases, coeffs):
-        acc = out.setdefault(ell, [Fraction(0)] * (ell - 2))
+    for (ell, entries), x in zip(bases, coeffs):
+        acc = out.setdefault(ell, [0] * (ell - 2))
         for i, e in enumerate(entries):
-            acc[i] += c * e
+            acc[i] += x * e
     return {ell: tuple(v) for ell, v in out.items()}
 
 
 def _gauss_solve_unique(matrix, rhs):
-    """Solve an overdetermined exact system; None if underdetermined,
-    NotASurfaceSeries if inconsistent."""
-    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    """Solve an overdetermined integer system exactly; None if
+    underdetermined, NotASurfaceSeries if inconsistent.
+
+    Fraction-free forward elimination (after Bareiss, Sylvester's identity
+    and multistep integer-preserving Gaussian elimination, Math. Comp. 1968):
+    each update cross-multiplies with the pivot row and divides the new row
+    by its content.  Only the back-substitution forms Fractions, so a
+    non-integral solution comes out as one.
+    """
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     pivots = []
     rank_row = 0
@@ -490,12 +491,16 @@ def _gauss_solve_unique(matrix, rhs):
         if piv is None:
             continue
         rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        inv = 1 / rows[rank_row][c]
-        rows[rank_row] = [x * inv for x in rows[rank_row]]
-        for i in range(len(rows)):
-            if i != rank_row and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank_row])]
+        prow = rows[rank_row]
+        p = prow[c]
+        for i in range(rank_row + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                g = gcd(p, f)
+                s, f = p // g, f // g
+                row = [s * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         rank_row += 1
     for i in range(rank_row, len(rows)):
@@ -504,8 +509,10 @@ def _gauss_solve_unique(matrix, rhs):
     if len(pivots) < ncols:
         return None
     sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
+    for i in range(rank_row - 1, -1, -1):
+        row = rows[i]
+        acc = row[ncols] - sum(row[j] * sol[j] for j in range(i + 1, ncols))
+        sol[i] = Fraction(acc) / row[i]
     return sol
 
 

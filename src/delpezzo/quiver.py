@@ -70,7 +70,8 @@ def residual_quiver(ell: int) -> ResidualQuiver:
         return ResidualQuiver(ell, ())
     by_slope = _indec_by_slope(ell)
     start = Singularity(ell, 1) if ell % 2 else Singularity(2 * ell, 1)
-    assert start in by_slope.values()
+    if start not in by_slope.values():
+        raise RuntimeError(f"start vertex {start} is not indecomposable")
     order = [start]
     current = start
     for _ in range(len(by_slope) - 1):
@@ -79,16 +80,20 @@ def residual_quiver(ell: int) -> ResidualQuiver:
             for cand in by_slope.values()
             if hyperplane_sum(current, cand) is not None
         ]
-        assert len(nxt) == 1, f"non-unique successor at {current}"
+        if len(nxt) != 1:
+            raise RuntimeError(f"non-unique successor at {current}")
         order.append(nxt[0])
         current = nxt[0]
-    assert hyperplane_sum(current, start) is not None, "cycle does not close"
+    if hyperplane_sum(current, start) is None:
+        raise RuntimeError("cycle does not close")
     quiver = ResidualQuiver(ell, tuple(order))
     # the dual involution fixes the start and the antipodal vertex
     n = len(order)
-    assert n % 2 == 0 or n == 1
+    if n % 2 and n != 1:
+        raise RuntimeError(f"quiver cycle of odd length {n}")
     for i, v in enumerate(order):
-        assert order[(-i) % n] == v.dual()
+        if order[(-i) % n] != v.dual():
+            raise RuntimeError(f"dualizing does not reverse the cycle at {v}")
     return quiver
 
 
@@ -99,7 +104,8 @@ def elementary_t(ell: int, start: Singularity) -> Singularity:
     n = len(q.vertices)
     chain = [q.vertices[(i + j) % n] for j in range(n)]
     out = hyperplane_sum_chain(chain)
-    assert out is not None
+    if out is None:
+        raise RuntimeError(f"quiver cycle from {start} does not glue")
     return out
 
 
@@ -115,8 +121,10 @@ def self_duals(ell: int) -> tuple[Singularity, Singularity]:
     else:  # ell = 6 mod 8
         pair = (Singularity(2 * ell, 1), Singularity(4 * ell, 3 * ell + 1))
     for s in pair:
-        assert s.dual() == s, f"{s} is not self-dual"
-        assert s in indecomposables(ell), f"{s} is not indecomposable"
+        if s.dual() != s:
+            raise RuntimeError(f"{s} is not self-dual")
+        if s not in indecomposables(ell):
+            raise RuntimeError(f"{s} is not indecomposable")
     return tuple(sorted(pair, key=lambda s: (s.r, s.a)))
 
 

@@ -322,5 +322,6 @@ def psi_invariants(
     else:
         psi_tilde = IndecMultiset(ell, (0,) * n)
     diff = [a - b for a, b in zip(psi_tilde.counts, psi.counts)]
-    assert len(set(diff)) <= 1 and (not diff or diff[0] >= 0)
+    if len(set(diff)) > 1 or (diff and diff[0] < 0):
+        raise RuntimeError(f"extended shattering differs unevenly: {diff}")
     return psi, psi_tilde

@@ -29,8 +29,11 @@ from delpezzo.exactalg import (
     poly_divmod,
     poly_eval,
     poly_gcd,
+    poly_gcd_primitive,
     poly_inverse_mod,
     poly_mul,
+    poly_neg,
+    poly_scale,
     poly_sub,
     poly_to_int,
 )
@@ -263,3 +266,137 @@ class TestRationalFunction:
         a = RationalFunction.make(poly_mul(poly([1, 1]), poly([2, 3])), poly_mul(poly([1, -1]), poly([2, 3])))
         b = RationalFunction.make(poly([1, 1]), poly([1, -1]))
         assert a.series_coefficients(8) == b.series_coefficients(8)
+
+
+# ---------------------------------------------------------------------------
+# the Euclidean kernels over Q that the integer ones replaced, kept as oracles
+
+
+def _divmod_over_q(a, b):
+    rem = [Fraction(x) for x in a]
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = Fraction(b[-1])
+    db = len(b) - 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i]:
+            c = rem[i] / lead
+            quo[i - db] = c
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+    return poly(quo), poly(rem)
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd over Q by the Euclidean algorithm on Fractions."""
+    while b:
+        a, b = b, _divmod_over_q(a, b)[1]
+    if not a:
+        return ()
+    return poly_scale(a, Fraction(1, 1) / Fraction(a[-1]))
+
+
+def _make_by_euclid(num, den):
+    """(num, den) of RationalFunction.make by the Euclidean gcd over Q."""
+    n, d = poly(num), poly(den)
+    if not n:
+        return (), (1,)
+    g = _euclid_gcd(n, d)
+    if len(g) > 1:
+        n = _divmod_over_q(n, g)[0]
+        d = _divmod_over_q(d, g)[0]
+    n, dn = poly_to_int(n)
+    d, dd = poly_to_int(d)
+    n = poly_scale(n, dd)
+    d = poly_scale(d, dn)
+    g = gcd(poly_content(n), poly_content(d))
+    if g > 1:
+        n = tuple(x // g for x in n)
+        d = tuple(x // g for x in d)
+    if next(x for x in d if x) < 0:
+        n, d = poly_neg(n), poly_neg(d)
+    return n, d
+
+
+def _rand_factor(local):
+    """A cyclotomic polynomial, a power of t, or a random integer factor."""
+    kind = local.random()
+    if kind < 0.4:
+        return cyclotomic(local.randint(1, 18))
+    if kind < 0.5:
+        return poly([0] * local.randint(1, 3) + [1])
+    return poly([local.randint(-7, 7) for _ in range(local.randint(1, 4))]) or (1,)
+
+
+def _rand_pair(local):
+    """num, den sharing a random common factor, with a random content, signs
+    and sometimes Fraction coefficients."""
+    common = (1,)
+    for _ in range(local.randint(0, 3)):
+        common = poly_mul(common, _rand_factor(local))
+    out = []
+    for _ in range(2):
+        p = common
+        for _ in range(local.randint(0, 3)):
+            p = poly_mul(p, _rand_factor(local))
+        p = poly_scale(p, local.choice((1, 1, -1, 2, -6, 12, 35)))
+        if local.random() < 0.25:
+            p = tuple(Fraction(x, local.randint(1, 9)) for x in p)
+        out.append(p)
+    return out
+
+
+class TestIntegerGcd:
+    """poly_gcd and RationalFunction.make run a primitive remainder sequence
+    over Z[t]; the Euclidean algorithm over Q is their oracle."""
+
+    def test_make_matches_euclid_oracle(self):
+        local = random.Random(5151)
+        cases = 0
+        while cases < 400:
+            num, den = _rand_pair(local)
+            if not den:
+                continue
+            rf = RationalFunction.make(num, den)
+            assert (rf.num, rf.den) == _make_by_euclid(num, den), (num, den)
+            assert all(type(x) is int for x in rf.num + rf.den)
+            cases += 1
+
+    def test_make_on_cyclotomic_products(self):
+        for n in range(1, 25):
+            for m in range(1, 25):
+                num = poly_sub(poly([0] * n + [1]), (1,))  # t^n - 1
+                den = poly_scale(poly_sub((1,), poly([0] * m + [1])), m)
+                rf = RationalFunction.make(num, den)
+                assert (rf.num, rf.den) == _make_by_euclid(num, den), (n, m)
+
+    def test_gcd_matches_euclid_oracle(self):
+        local = random.Random(6262)
+        for _ in range(300):
+            a, b = _rand_pair(local)
+            assert poly_gcd(a, b) == _euclid_gcd(a, b), (a, b)
+
+    def test_primitive_gcd_is_primitive_with_positive_lead(self):
+        local = random.Random(7373)
+        for _ in range(300):
+            a, b = (poly_to_int(p)[0] for p in _rand_pair(local))
+            g = poly_gcd_primitive(a, b)
+            if not a and not b:
+                assert g == ()
+                continue
+            assert poly_content(g) == 1 and g[-1] > 0, (a, b, g)
+            monic = _euclid_gcd(a, b)
+            assert poly_scale(monic, g[-1]) == g
+
+    def test_integer_division_stays_in_integers(self):
+        local = random.Random(8484)
+        for _ in range(200):
+            b = poly_mul(_rand_factor(local), _rand_factor(local))
+            q = poly([local.randint(-9, 9) for _ in range(local.randint(0, 6))])
+            quo, rem = poly_divmod(poly_mul(q, b), b)
+            assert quo == q and rem == ()
+            assert all(type(x) is int for x in quo)
+
+    def test_inexact_division_falls_back_to_fractions(self):
+        quo, rem = poly_divmod(poly([1, 0, 3]), poly([1, 2]))
+        assert quo == (Fraction(-3, 4), Fraction(3, 2))
+        assert rem == (Fraction(7, 4),)
