@@ -335,9 +335,6 @@ class IntMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def apply(self, x: Sequence[int]) -> tuple:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch")

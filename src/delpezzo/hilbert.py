@@ -4,7 +4,6 @@ degree contributions, and Hilbert-series assembly/decomposition.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -285,9 +284,9 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     """Recover (K^2, per-local-index delta-vectors) from a Hilbert series.
 
     Inverse of assemble_series.  The initial term is the unique part with a
-    triple pole at t=1; the remainder is matched against numerators over
-    l(1 - t^l) for candidate indices read off the cyclotomic factors of its
-    denominator.
+    triple pole at t=1; the remainder is matched, in one exact solve, against
+    numerators over l(1 - t^l) in the delta-lattice at l, for the candidate
+    indices read off the cyclotomic factors of its denominator.
     """
     if H.is_zero() or H.series_coefficients(1)[0] != 1:
         raise NotASurfaceSeries("constant term must be 1")
@@ -301,29 +300,10 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     if remainder.is_zero():
         return k_squared, {}
 
-    base, closed = _candidate_indices(remainder.den)
-    if not base:
+    candidates = _candidate_indices(remainder.den)
+    if not candidates:
         raise NotASurfaceSeries("remainder has no cyclotomic pole structure")
-    # the un-closed candidate set almost always suffices and keeps the
-    # linear system small; fall back to the lcm closure (indices whose
-    # primitive cyclotomic part cancels) only when it does not
-    attempts = [base, closed] if closed != base else [base]
-    solution = None
-    for i, candidates in enumerate(attempts):
-        try:
-            solution = _solve_delta_system(
-                remainder, candidates, restrict_lattice=False
-            )
-            if solution is None:
-                solution = _solve_delta_system(
-                    remainder, candidates, restrict_lattice=True
-                )
-        except NotASurfaceSeries:
-            if i == len(attempts) - 1:
-                raise
-            continue
-        if solution is not None:
-            break
+    solution = _solve_delta_system(remainder, candidates)
     if solution is None:
         raise AmbiguousDecomposition(
             "decomposition solver has a nontrivial nullspace"
@@ -341,105 +321,75 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     return k_squared, dict(sorted(parts.items()))
 
 
-def _candidate_indices(den: Sequence) -> tuple[list[int], list[int]]:
-    """(base, closed): the sorted indices l >= 2 whose cyclotomic polynomial
-    divides den, and that set closed under least common multiples (within
-    the scan bound)."""
-    den = poly(den)
-    deg = len(den) - 1
-    # phi(n) <= deg is necessary; phi(n) >= sqrt(n/2) bounds the scan
-    bound = 2 * deg * deg + 1
-    scale = max(abs(float(c)) for c in den)
-    tol = 1e-8 * max(scale, 1.0) * (deg + 1)
-    base = []
-    for n in range(2, bound + 1):
-        if _totient(n) > deg:
+def _candidate_indices(den: Sequence) -> list[int]:
+    """The sorted indices l >= 3 that divide the order of a cyclotomic
+    factor of den; den must be a product of cyclotomic polynomials times
+    its content, else NotASurfaceSeries.
+
+    Each Phi_n with phi(n) at most the degree left is divided out for as
+    long as it divides, until den is a unit.  No nonzero element of the
+    delta-lattice vanishes at the primitive l-th roots of unity, so an index
+    whose multiples carry no part keeps Phi_l in den; every index with a
+    part divides such an index, hence the closure under divisors.
+    """
+    den = poly_primitive(poly(den))
+    if abs(den[0]) != 1 or abs(den[-1]) != 1:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    # phi(n) >= sqrt(n/2), so phi(n) <= deg needs n <= 2 deg^2
+    bound = 2 * (len(den) - 1) ** 2 + 1
+    phi = _phi_sieve(bound)
+    orders = []
+    for n in range(1, bound + 1):
+        if len(den) == 1:
+            break
+        if phi[n] >= len(den):
             continue
-        # cheap necessary test: den must vanish at a primitive n-th root;
-        # an exact zero evaluates to mere rounding noise, far below tol
-        x = cmath.exp(2j * cmath.pi / n)
-        val = 0j
-        for c in reversed(den):
-            val = val * x + float(c)
-        if abs(val) > tol:
-            continue
-        phi = cyclotomic(n)
-        if not poly_divmod(den, phi)[1]:
-            base.append(n)
-    closed = set(base)
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(closed)
-        for x in items:
-            for y in items:
-                join = x * y // gcd(x, y)
-                if join <= bound and join not in closed:
-                    closed.add(join)
-                    changed = True
-    return sorted(base), sorted(closed)
+        quotient, rest = poly_divmod(den, cyclotomic(n))
+        if not rest:
+            orders.append(n)
+        while not rest:
+            den = quotient
+            quotient, rest = poly_divmod(den, cyclotomic(n))
+    if len(den) != 1:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    return sorted({d for n in orders for d in range(3, n + 1) if n % d == 0})
 
 
-def _totient(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
-def _palindromic_basis(ell: int) -> list[tuple]:
-    """Basis of palindromic (delta_1..delta_{l-2}) vectors."""
-    n = ell - 2
-    out = []
-    for i in range((n + 1) // 2):
-        v = [0] * n
-        v[i] = 1
-        v[n - 1 - i] = 1 if n - 1 - i != i else v[i]
-        out.append(tuple(v))
-    return out
+def _phi_sieve(bound: int) -> list[int]:
+    """Euler's phi(n) for n = 0..bound, by a sieve over the primes."""
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for m in range(p, bound + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def _solve_delta_system(
-    remainder: RationalFunction, candidates: list[int], restrict_lattice: bool
+    remainder: RationalFunction, candidates: list[int]
 ) -> Optional[dict[int, tuple]]:
     """Match remainder = sum_l N_l/(l(1-t^l)) by exact linear algebra.
 
-    Unknowns are palindromic numerator coordinates, optionally restricted to
-    the rational span of each index's delta-lattice.  Returns None when the
-    system is singular (nullspace) and raises on inconsistency.
+    The unknowns are the coordinates of each N_l in the basis of the
+    delta-lattice at l.  Returns None when the system is singular
+    (nullspace) and raises on inconsistency.
     """
     from .quiver import delta_lattice  # deferred: quiver builds on this module
 
-    bases: list[tuple[int, tuple]] = []  # (ell, delta-entry vector)
-    for ell in candidates:
-        if restrict_lattice:
-            gens = delta_lattice(ell).basis
-            for g in gens:
-                bases.append((ell, tuple(g)))
-        else:
-            for g in _palindromic_basis(ell):
-                bases.append((ell, g))
-    if not bases:
-        return None
+    bases = [(ell, g) for ell in candidates for g in delta_lattice(ell).basis]
 
     # remainder = num / (c * den') with den' primitive; over the common
-    # denominator prod (1 - t^l) every part is an integer polynomial
+    # denominator, the lcm of the 1 - t^l (up to sign the product of Phi_n
+    # over the divisors n of the candidates), every part is an integer
+    # polynomial
     one_minus = {ell: poly([1] + [0] * (ell - 1) + [-1]) for ell in candidates}
     common = poly((1,))
-    for f in one_minus.values():
-        common = poly_mul(common, f)
+    for n in {n for ell in candidates for n in range(1, ell + 1) if ell % n == 0}:
+        common = poly_mul(common, cyclotomic(n))
     c = poly_content(remainder.den)
     cofactor, rest = poly_divmod(common, poly_primitive(remainder.den))
     if rest:
-        # remainder denominator must divide the product of (1 - t^l)
+        # remainder denominator must divide the lcm of the 1 - t^l
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
 
     # times L * c * common, L = lcm of the candidates, the part

@@ -222,26 +222,18 @@ def _arc_types(ell: int, max_length: int) -> tuple[Arc, ...]:
     return tuple(out)
 
 
-def regroupings(
-    m: IndecMultiset,
-    residual_only: bool = False,
-    prune=None,
-    node_cap: int = 2_000_000,
-) -> list[Basket]:
+def regroupings(m: IndecMultiset, node_cap: int = 2_000_000) -> list[Basket]:
     """All baskets whose maximal shattering equals m.
 
     Parts are glued arcs of the quiver cycle; wrapping arcs produce
-    T-singularities and are excluded when residual_only is set.  `prune` may
-    veto partial baskets (receives a list of glued parts); it must be
-    monotone: once vetoed, all extensions are vetoed too.
+    T-singularities.
     """
     ell = m.local_index
     q = residual_quiver(ell)
     n = len(q.vertices)
     if n == 0 or m.size == 0:
         return [()] if m.size == 0 else []
-    max_len = n - 1 if residual_only else m.size
-    arcs = [a for a in _arc_types(ell, max_len) if _fits(a.consumption, m.counts)]
+    arcs = [a for a in _arc_types(ell, m.size) if _fits(a.consumption, m.counts)]
     found: dict[tuple, Basket] = {}
     budget = [node_cap]
 
@@ -266,10 +258,7 @@ def regroupings(
                 new_remaining = [
                     rem - mult * c for rem, c in zip(remaining, arc.consumption)
                 ]
-                new_parts = parts + [arc.glued] * mult
-                if prune is not None and prune(new_parts):
-                    continue
-                rec(idx + 1, new_remaining, new_parts)
+                rec(idx + 1, new_remaining, parts + [arc.glued] * mult)
             else:
                 rec(idx + 1, list(remaining), list(parts))
 
@@ -293,13 +282,23 @@ class DeltaLattice:
     basis: tuple  # lattice basis rows
 
     def contains(self, entries: Sequence[int]) -> bool:
-        """Integer membership of a delta-entry vector in the lattice."""
-        from .exactalg import int_solve
+        """Integer membership of a delta-entry vector in the lattice.
 
-        if not self.basis:
-            return all(x == 0 for x in entries)
-        m = IntMatrix.from_columns(list(self.basis))
-        return int_solve(m, list(entries)) is not None
+        delta_lattice takes the basis from a column echelon form, computed
+        once: the first nonzero entry of each row lies strictly right of
+        that of the row before, and the later rows are zero there.  So
+        taking away each row q times, q the floor quotient at that entry,
+        leaves zero exactly when the vector lies in the lattice.
+        """
+        resid = list(entries)
+        if self.basis and len(resid) != len(self.basis[0]):
+            raise ValueError("dimension mismatch")
+        for row in self.basis:
+            pivot = next(i for i, x in enumerate(row) if x)
+            q = resid[pivot] // row[pivot]
+            if q:
+                resid = [x - q * y for x, y in zip(resid, row)]
+        return not any(resid)
 
 
 @lru_cache(maxsize=None)
@@ -329,28 +328,28 @@ def delta_lattice(ell: int) -> DeltaLattice:
 # cancelling tuples
 
 
-def contains_cancelling_tuple(
-    b: Iterable[Singularity], size_cap: int = 24
-) -> Optional[Basket]:
+# the largest basket piece the meet-in-the-middle search takes on
+SIZE_CAP = 24
+
+
+def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     """A nonempty zero-Q sub-multiset of the basket, or None.
 
     Mixed-index baskets are tested per local-index piece, following the
     same-index conjecture.  Meet-in-the-middle over delta partial sums;
-    baskets above size_cap raise CapacityExceeded.
+    pieces above SIZE_CAP raise CapacityExceeded.
     """
     from .singularity import basket_pieces
 
     pieces = basket_pieces(list(b))
     for piece in pieces.values():
-        witness = _cancelling_single_index(piece, size_cap)
+        witness = _cancelling_single_index(piece)
         if witness is not None:
             return witness
     return None
 
 
-def _cancelling_single_index(
-    piece: Basket, size_cap: int
-) -> Optional[Basket]:
+def _cancelling_single_index(piece: Basket) -> Optional[Basket]:
     items = [s for s in piece if not orbifold_contribution(s).is_zero]
     # T-singularities are themselves cancelling (zero Q)
     trivial = [s for s in piece if orbifold_contribution(s).is_zero]
@@ -358,9 +357,9 @@ def _cancelling_single_index(
         return basket(trivial[:1])
     if not items:
         return None
-    if len(items) > size_cap:
+    if len(items) > SIZE_CAP:
         raise CapacityExceeded(
-            f"basket piece of size {len(items)} exceeds cap {size_cap}"
+            f"basket piece of size {len(items)} exceeds cap {SIZE_CAP}"
         )
     deltas = [orbifold_contribution(s).entries for s in items]
     half = len(items) // 2

@@ -146,11 +146,6 @@ class Singularity:
         """The reference cone (e2, r*e1 - a*e2)."""
         return IntCone((0, 1), (self.r, -self.a))
 
-    def edge_points(self) -> list[Vec]:
-        """Lattice points e2 + j*(l, -c) along the edge, j = 0..k."""
-        ell, k, c = self.invariants()
-        return [(j * ell, 1 - j * c) for j in range(k + 1)]
-
 
 SMOOTH = Singularity(1, 0)
 

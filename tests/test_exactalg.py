@@ -123,6 +123,14 @@ class TestCyclotomic:
         assert cyclotomic(5) == poly([1, 1, 1, 1, 1])
         assert cyclotomic(6) == poly([1, -1, 1])
 
+    def test_matches_sympy(self):
+        import sympy
+
+        t = sympy.Symbol("t")
+        for n in range(1, 201):
+            expect = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()[::-1]
+            assert cyclotomic(n) == tuple(int(c) for c in expect), n
+
 
 class TestInverseMod:
     def test_inverse_of_one_minus_t_mod_cyclotomic(self):

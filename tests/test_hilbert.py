@@ -7,6 +7,7 @@ modulo 1 + t + ... + t^(r-1).
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -30,8 +31,16 @@ from delpezzo import (
 )
 from delpezzo import hilbert
 from delpezzo.errors import NotASurfaceSeries, ParseError
-from delpezzo.exactalg import poly, poly_div_exact, poly_inverse_mod, poly_mul
+from delpezzo.exactalg import (
+    RationalFunction,
+    cyclotomic,
+    poly,
+    poly_div_exact,
+    poly_inverse_mod,
+    poly_mul,
+)
 from delpezzo.hilbert import (
+    _candidate_indices,
     _dedekind_totals,
     _gauss_solve_unique,
     _periodic_quotient,
@@ -348,22 +357,61 @@ class TestSeriesRoundTrip:
         # h^0(-mK) = 1 + m(m+1)/2 K^2 for the smooth del Pezzo of degree 1
         assert hs.coefficients(6) == [1 + m * (m + 1) // 2 for m in range(6)]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="split_series folds the l=3 part into l=6 when Phi_3 cancels "
-        "from the denominator of the sum",
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((6, 1), (24, 19), (24, 19)),
+            ((3, 1), (12, 1), (12, 1)),
+            ((8, 1), (16, 5), (16, 5)),
+            ((5, 1), (40, 11), (40, 11)),
+            ((12, 1), (48, 19), (48, 19)),
+            ((12, 1), (48, 19), (120, 49)),
+        ],
+        ids=lambda points: "+".join(f"1/{r}(1,{a})" for r, a in points),
     )
-    def test_split_keeps_a_part_whose_cyclotomic_factor_cancels(self):
-        """The l=3 part t/(3(1-t^3)) is also (2t + 2t^4)/(6(1-t^6)), so with
-        Phi_3 gone from the denominator the split answers
-        {6: (-6,-12,-12,-6)} instead of the assembled parts."""
-        b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(24, 19)])
+    def test_split_keeps_a_part_whose_cyclotomic_factor_cancels(self, points):
+        """Baskets over two nested indices l | l'.  For the first, the l=3
+        part t/(3(1-t^3)) is also (2t + 2t^4)/(6(1-t^6)), and Phi_3 is gone
+        from the denominator of the sum; the split must still return the
+        assembled parts at both indices."""
+        b = basket([Singularity(r, a) for r, a in points])
         hs = assemble_series(b, 1)
-        assert hs.orbifold_parts == {
+        small, large = sorted(hs.orbifold_parts)
+        assert large % small == 0
+        assert split_series(hs.series) == (Fraction(1), hs.orbifold_parts)
+
+    def test_fold_example_parts(self):
+        b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(24, 19)])
+        assert assemble_series(b, 1).orbifold_parts == {
             3: DeltaVector(3, (1,)),
             6: DeltaVector(6, (-8, -12, -12, -8)),
         }
-        assert split_series(hs.series) == (Fraction(1), hs.orbifold_parts)
+
+
+class TestCandidateIndices:
+    """_candidate_indices strips cyclotomic factors exactly."""
+
+    def test_divisors_of_the_orders_found(self):
+        den = poly_mul(cyclotomic(1), poly_mul(cyclotomic(12), cyclotomic(5)))
+        assert _candidate_indices(poly_mul((3,), den)) == [3, 4, 5, 6, 12]
+
+    @pytest.mark.parametrize("den", [(2, -1), (1, 1, 2), (1, -3, 1)])
+    def test_non_cyclotomic_denominators_raise(self, den):
+        with pytest.raises(NotASurfaceSeries):
+            _candidate_indices(poly_mul(cyclotomic(7), den))
+
+    def test_lehmer_cubed_raises_quickly(self):
+        """Lehmer's polynomial has unit end coefficients and no cyclotomic
+        factor; only the phi(n) <= degree skip keeps the scan up to n = 1801
+        from building every Phi_n."""
+        lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+        den = poly_mul(lehmer, poly_mul(lehmer, lehmer))
+        h = initial_term(Fraction(3)) + RationalFunction.make((0, 1), den)
+        assert (h - initial_term(Fraction(3))).den == den
+        start = time.perf_counter()
+        with pytest.raises(NotASurfaceSeries, match="non-cyclotomic"):
+            split_series(h)
+        assert time.perf_counter() - start < 5.0
 
 
 def _gauss_solve_over_q(matrix, rhs):

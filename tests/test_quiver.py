@@ -24,6 +24,14 @@ from delpezzo import (
     self_duals,
 )
 from delpezzo.errors import MixedIndex
+from delpezzo.exactalg import (
+    IntMatrix,
+    cyclotomic,
+    int_rank,
+    int_solve,
+    poly,
+    poly_divmod,
+)
 from delpezzo.hilbert import zero_delta
 from delpezzo.quiver import elementary_t, hyperplane_sum_chain
 
@@ -153,6 +161,39 @@ class TestDeltaLattice:
             L = delta_lattice(ell)
             for s in indecomposables(ell):
                 assert L.contains(orbifold_contribution(s).entries)
+
+    def test_membership_matches_int_solve(self):
+        """contains reads the echelon basis directly; int_solve over the
+        generators is its oracle."""
+        local = random.Random(4242)
+        answers = set()
+        for ell in range(3, 15):
+            L = delta_lattice(ell)
+            gens = IntMatrix.from_columns(list(L.generators))
+            for _ in range(40):
+                v = [0] * (ell - 2)
+                for g in L.generators:
+                    c = local.randint(-2, 2)
+                    v = [x + c * y for x, y in zip(v, g)]
+                if local.random() < 0.5:
+                    v[local.randrange(ell - 2)] += local.choice((-1, 1))
+                answer = L.contains(v)
+                assert answer == (int_solve(gens, v) is not None), (ell, v)
+                answers.add(answer)
+        assert answers == {True, False}
+
+    def test_no_lattice_vector_vanishes_at_primitive_roots(self):
+        """Reduced mod Phi_l, the basis of Delta(l) keeps its rank: no
+        nonzero lattice vector, as a numerator sum delta_i t^i, vanishes
+        at the primitive l-th roots of unity.  split_series relies on it."""
+        for ell in range(3, 41):
+            L = delta_lattice(ell)
+            phi = cyclotomic(ell)
+            rows = []
+            for b in L.basis:
+                rem = poly_divmod(poly([0, *b]), phi)[1]
+                rows.append(list(rem) + [0] * (len(phi) - 1 - len(rem)))
+            assert int_rank(rows) == L.rank, ell
 
 
 class TestShatteringMultisets:
