@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DelPezzoError, Infeasible, InvalidWeight, ParseError
 from .hilbert import (
@@ -279,7 +280,7 @@ def cmd_analyze(args) -> int:
     if args.terms:
         lines.append(fmt_terms(h, args.terms))
     feasible = [c for c in report.per_choice if c.verdict == "Feasible"]
-    baskets = [tuple(s for _, b in c.selection for s in b) for c in report.per_choice]
+    baskets = [tuple([s for _, b in c.selection for s in b]) for c in report.per_choice]
     indices = sorted(report.bodies)
     payload = schema(
         indices[0] if len(indices) == 1 else 0,
@@ -287,7 +288,7 @@ def cmd_analyze(args) -> int:
         baskets,
         [c.rk_squared for c in report.per_choice],
         verdict,
-        _bounds_or_none([tuple(s for _, b in c.selection for s in b) for c in feasible]),
+        _bounds_or_none([tuple([s for _, b in c.selection for s in b]) for c in feasible]),
     )
     emit(args, payload, lines)
     return 0
@@ -349,6 +350,7 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delpezzo",
@@ -426,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DelPezzoError as exc:

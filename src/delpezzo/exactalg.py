@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import le
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityExceeded, DegenerateCone, NotCoprime
@@ -403,7 +404,7 @@ def int_kernel(M: IntMatrix) -> list[tuple]:
     _, U, pivots = _column_echelon(M)
     n = M.cols
     free = range(len(pivots), n)
-    return [tuple(U[i][j] for i in range(n)) for j in free]
+    return [tuple([U[i][j] for i in range(n)]) for j in free]
 
 
 def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
@@ -421,8 +422,12 @@ def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
 
     def signed(v: tuple) -> tuple:
         """v with bit masks of its positive and of its negative coordinates."""
-        pos = sum(1 << i for i, x in enumerate(v) if x > 0)
-        neg = sum(1 << i for i, x in enumerate(v) if x < 0)
+        pos = neg = 0
+        for i, x in enumerate(v):
+            if x > 0:
+                pos |= 1 << i
+            elif x < 0:
+                neg |= 1 << i
         return v, pos, neg
 
     def under(g: tuple, v: tuple) -> bool:  # g ⊑ v, both from signed()
@@ -431,17 +436,22 @@ def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
         )
 
     def normal_form(s: tuple) -> Optional[tuple]:
+        """s minus the first element under it, repeated; None at zero."""
         s = signed(s)
         while s[1] | s[2]:
-            g = next((g for g in elems if under(g, s)), None)
-            if g is None:
+            v, off_pos, off_neg = s[0], ~s[1], ~s[2]
+            size = [abs(x) for x in v]
+            for g, gpos, gneg in elems:  # under(g, s), with s's side hoisted
+                if not (gpos & off_pos or gneg & off_neg) and all(map(le, map(abs, g), size)):
+                    break
+            else:
                 return s
-            s = signed(tuple(a - b for a, b in zip(s[0], g[0])))
+            s = signed(tuple([a - b for a, b in zip(v, g)]))
         return None
 
     elems = []
     for b in int_kernel(M):
-        elems += [signed(b), signed(tuple(-x for x in b))]
+        elems += [signed(b), signed(tuple([-x for x in b]))]
     steps = k = 0
     # f runs over the even positions only: the pairs of -f are the
     # negatives of the pairs of f, and so are their normal forms
@@ -456,9 +466,9 @@ def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
                     f"{steps} pairs reduced, |G| = {len(elems)}"
                 )
             steps += 1
-            r = normal_form(tuple(a + b for a, b in zip(f, g)))
+            r = normal_form(tuple([a + b for a, b in zip(f, g)]))
             if r is not None:
-                elems += [r, signed(tuple(-x for x in r[0]))]
+                elems += [r, signed(tuple([-x for x in r[0]]))]
         k += 2
     return [v[0] for v in elems if not any(g is not v and under(g, v) for g in elems)]
 

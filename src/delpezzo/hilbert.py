@@ -23,11 +23,14 @@ from .exactalg import (
     RationalFunction,
     cyclotomic,
     poly,
+    poly_add,
     poly_content,
     poly_divmod,
     poly_mul,
+    poly_neg,
     poly_primitive,
     poly_scale,
+    poly_sub,
 )
 from .singularity import Basket, Singularity, basket_pieces
 
@@ -288,6 +291,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     numerators over l(1 - t^l) in the delta-lattice at l, for the candidate
     indices read off the cyclotomic factors of its denominator.
     """
+    if H.den[0] == 0:
+        raise NotASurfaceSeries("series has a pole at t=0")
     if H.is_zero() or H.series_coefficients(1)[0] != 1:
         raise NotASurfaceSeries("constant term must be 1")
     if H.pole_order_at_one() != 3:
@@ -474,6 +479,9 @@ def parse_rational_function(text: str) -> RationalFunction:
     """Parse `(1+7*t+t^2)/(1-t)^3`-style expressions.
 
     Grammar: integer literals, `t`, the operators + - * / ^ and parentheses.
+    Subexpressions stay unreduced pairs (num, den) over Z[t]; one final
+    RationalFunction.make gives the canonical form that reducing at every
+    node would, as Z[t] is an integral domain.  Division by zero: ParseError.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -489,20 +497,24 @@ def parse_rational_function(text: str) -> RationalFunction:
         return tok
 
     def parse_expr():
-        node = parse_term()
+        num, den = parse_term()
         while peek() in ("+", "-"):
             op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            n, d = parse_term()
+            if d != den:  # the terms of a polynomial all have den 1
+                num, n, den = poly_mul(num, d), poly_mul(n, den), poly_mul(den, d)
+            num = poly_add(num, n) if op == "+" else poly_sub(num, n)
+        return num, den
 
     def parse_term():
-        node = parse_factor()
+        num, den = parse_factor()
         while peek() in ("*", "/"):
             op = take()
-            rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
+            n, d = parse_factor() if op == "*" else parse_factor()[::-1]
+            if not d:  # only a divisor's num can be zero here
+                raise ParseError(f"division by zero in {text!r}")
+            num, den = poly_mul(num, n), poly_mul(den, d)
+        return num, den
 
     def parse_factor():
         sign = 1
@@ -515,10 +527,10 @@ def parse_rational_function(text: str) -> RationalFunction:
             exp = take()
             if not isinstance(exp, int) or exp < 0:
                 raise ParseError(f"exponent must be a nonnegative integer in {text!r}")
-            base, node = node, RationalFunction.make(poly([1]))
+            base, node = node, ((1,), (1,))
             for _ in range(exp):
-                node = node * base
-        return node if sign == 1 else -node
+                node = poly_mul(node[0], base[0]), poly_mul(node[1], base[1])
+        return node if sign == 1 else (poly_neg(node[0]), node[1])
 
     def parse_atom():
         tok = peek()
@@ -529,16 +541,16 @@ def parse_rational_function(text: str) -> RationalFunction:
             return node
         if tok == "t":
             take()
-            return RationalFunction.make(poly([0, 1]))
+            return (0, 1), (1,)
         if isinstance(tok, int):
             take()
-            return RationalFunction.make(poly([tok]))
+            return poly([tok]), (1,)
         raise ParseError(f"unexpected token {tok!r} in {text!r}")
 
-    node = parse_expr()
+    num, den = parse_expr()
     if pos[0] != len(tokens):
         raise ParseError(f"trailing input after position {pos[0]} in {text!r}")
-    return node
+    return RationalFunction.make(num, den)
 
 
 def _tokenize(text: str) -> list:

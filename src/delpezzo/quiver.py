@@ -148,7 +148,7 @@ class IndecMultiset:
             raise MixedIndex("local indices differ")
         return IndecMultiset(
             self.local_index,
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
+            tuple([a + b for a, b in zip(self.counts, other.counts)]),
         )
 
     @property
@@ -313,10 +313,10 @@ def delta_lattice(ell: int) -> DeltaLattice:
     # lattice basis: nonzero columns of the column echelon form of gens^T
     transpose = IntMatrix.from_columns(list(gens))
     echelon, _, pivots = _column_echelon(transpose)
-    basis = tuple(
-        tuple(echelon[i][c] for i in range(len(gens[0])))
+    basis = tuple([
+        tuple([echelon[i][c] for i in range(len(gens[0]))])
         for _, c in pivots
-    )
+    ])
     if len(basis) != rank:
         raise RuntimeError(
             f"delta-lattice basis at l={ell} has {len(basis)} rows, rank {rank}"
@@ -366,7 +366,7 @@ def _cancelling_single_index(piece: Basket) -> Optional[Basket]:
     left = _subset_sums(deltas[:half])
     right = _subset_sums(deltas[half:])
     for total, mask in left.items():
-        neg = tuple(-x for x in total)
+        neg = tuple([-x for x in total])
         if neg in right:
             if mask == 0 and right[neg] == 0:
                 continue
@@ -390,7 +390,7 @@ def _subset_sums(deltas: list[tuple]) -> dict[tuple, int]:
     for i, d in enumerate(deltas):
         new = {}
         for total, mask in out.items():
-            t2 = tuple(a + b for a, b in zip(total, d))
+            t2 = tuple([a + b for a, b in zip(total, d)])
             if t2 == zero or (t2 not in out and t2 not in new):
                 new[t2] = mask | (1 << i)
         out.update(new)

@@ -157,7 +157,7 @@ def enumerate_reduced_baskets(
     particular = int_solve(phi, list(delta.entries))
     if particular is None:
         raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
-    kernel = tuple(tuple(v) for v in int_kernel(phi))
+    kernel = tuple(int_kernel(phi))
     vec = SignedBasketVector(ell, tuple(particular))
 
     if delta.is_zero:
@@ -167,11 +167,11 @@ def enumerate_reduced_baskets(
             kernel, ((),), (Fraction(0),),
         )
 
-    lifted = IntMatrix.from_columns(columns + [tuple(-x for x in delta.entries)])
+    lifted = IntMatrix.from_columns(columns + [tuple([-x for x in delta.entries])])
     minimal = [g[:-1] for g in graver_basis(lifted, node_cap) if g[-1] == 1]
     baskets = sorted(
         (SignedBasketVector(ell, v).basket() for v in minimal),
-        key=lambda b: tuple(s.iso_key() for s in b),
+        key=lambda b: tuple([s.iso_key() for s in b]),
     )
     # soundness: re-verify the exact Q-sum and cancelling-freeness
     for b in baskets:
@@ -180,7 +180,7 @@ def enumerate_reduced_baskets(
             raise RuntimeError(f"basket {b} has {total}, not {delta}")
         if contains_cancelling_tuple(b) is not None:
             raise RuntimeError(f"basket {b} contains a cancelling tuple")
-    rk2 = tuple(sum((degree_contribution(s) for s in b), Fraction(0)) for b in baskets)
+    rk2 = tuple([sum([degree_contribution(s) for s in b], Fraction(0)) for b in baskets])
     if len({x % 1 for x in rk2}) > 1:
         raise RuntimeError(f"RK^2 values {rk2} differ modulo 1")
     return ReducedBodyResult(ell, delta, True, vec, kernel, tuple(baskets), rk2)

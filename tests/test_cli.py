@@ -11,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delpezzo import (
     DeltaVector,
@@ -22,6 +24,7 @@ from delpezzo import (
     enumerate_reduced_baskets,
     orbifold_contribution,
 )
+from delpezzo.cli import build_parser, main
 
 
 def run(*args):
@@ -198,6 +201,10 @@ class TestExitCodes:
             ("delta-rank", "0"),
             ("bounds", "--nmin", "-1", "1/5(1,1)"),
             ("contrib", "1/1(1,0)"),
+            ("analyze", "1/0"),
+            ("analyze", "(t)*(-(1)/(0))"),
+            ("analyze", "1/t"),
+            ("analyze", "(1+t)/(t-t^2)"),
         ],
         ids=" ".join,
     )
@@ -206,3 +213,62 @@ class TestExitCodes:
         assert p.returncode in (1, 2)
         assert "error:" in p.stderr
         assert "Traceback" not in p.stderr
+
+    def test_named_errors_for_zero_division_and_a_pole_at_zero(self):
+        assert run("analyze", "1/0").stderr.startswith("error: ParseError: division by zero")
+        assert run("analyze", "1/t").stderr.startswith("error: NotASurfaceSeries")
+
+
+class TestInProcess:
+    """cli.main called in the same process, as embedding programs and the
+    benchmark do; the parser is built once and shared by the calls."""
+
+    CALLS = (
+        ("analyze", "(1+7*t+t^2)/(1-t)^3"),
+        ("reduce",),
+        ("contrib", "1/5(1,1)", "--terms", "4"),
+        ("analyze", "1/t"),
+        ("quiver", "10", "--json"),
+        ("analyze", "(1+7*t+t^2)/(1-t)^3"),
+    )
+
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        for args in self.CALLS:
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            p = run(*args)
+            assert (code, out, err) == (p.returncode, p.stdout, p.stderr), args
+        assert build_parser() is build_parser()
+
+
+# series text from the grammar's tokens, with exponents at most 3
+_atoms = st.sampled_from(["t", "0", "1", "2", "3", "12"])
+_series_text = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-*/"), inner),
+    ),
+    max_leaves=12,
+)
+_token_soup = st.lists(st.sampled_from(list("t+-*/^()0123")), max_size=12).map("".join)
+
+
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(_series_text, _token_soup))
+def test_analyze_fuzz_exits_with_a_status(text):
+    """`analyze` on any text returns 0 or 1 or exits with usage status 2;
+    it never lets another exception out."""
+    try:
+        code = main(["analyze", text])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

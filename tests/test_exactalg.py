@@ -6,6 +6,7 @@ brute-force coordinate boxes, and algebraic identities (ring axioms,
 cyclotomic factorization of t^n - 1).
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from math import gcd
 
 import pytest
 
+from delpezzo import Singularity, orbifold_contribution
 from delpezzo.errors import CapacityExceeded, NotCoprime
 from delpezzo.exactalg import (
     IntMatrix,
@@ -37,6 +39,7 @@ from delpezzo.exactalg import (
     poly_sub,
     poly_to_int,
 )
+from delpezzo.reconstruct import res_plus
 
 rng = random.Random(20260824)
 
@@ -256,6 +259,21 @@ class TestGraverBasis:
     def test_node_cap_reports_work_done(self):
         with pytest.raises(CapacityExceeded, match="2 pairs reduced, \\|G\\| = "):
             graver_basis(IntMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]), node_cap=2)
+
+    def test_pinned_completion_at_seven(self):
+        """[Phi+ | -delta] for the single point 1/7(1,1): the completion
+        reduces 6,364 pairs and returns these 212 elements in this order,
+        which holds only while the reducer scan finds the same first
+        reducer as a plain scan of under() over the elements in order."""
+        columns = [orbifold_contribution(s).entries for s in res_plus(7)]
+        delta = orbifold_contribution(Singularity(7, 1)).entries
+        assert delta == (3, 2, -3, 2, 3)
+        m = IntMatrix.from_columns(columns + [tuple(-x for x in delta)])
+        with pytest.raises(CapacityExceeded, match="6363 pairs reduced, \\|G\\| = 212$"):
+            graver_basis(m, node_cap=6363)
+        got = graver_basis(m, node_cap=6364)
+        assert len(got) == 212
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "5bd9d90aad9b874c"
 
 
 class TestRationalFunction:

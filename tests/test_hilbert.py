@@ -380,6 +380,11 @@ class TestSeriesRoundTrip:
         assert large % small == 0
         assert split_series(hs.series) == (Fraction(1), hs.orbifold_parts)
 
+    @pytest.mark.parametrize("text", ["1/t", "(1+t)/(t-t^2)"])
+    def test_pole_at_zero_is_not_a_surface_series(self, text):
+        with pytest.raises(NotASurfaceSeries, match="pole at t=0"):
+            split_series(parse_rational_function(text))
+
     def test_fold_example_parts(self):
         b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(24, 19)])
         assert assemble_series(b, 1).orbifold_parts == {
@@ -535,3 +540,116 @@ class TestParser:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_rational_function(bad)
+
+    @pytest.mark.parametrize("text", ["1/0", "(t)*(-(1)/(0))", "1/(t - t)", "t/(1 - 1)^2"])
+    def test_division_by_zero_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_rational_function(text)
+
+    def test_matches_reduction_at_every_node(self):
+        """The unreduced Z[t] pairs give the canonical form that reducing
+        at every node gives, or an error of the same class."""
+        local = random.Random(20261018)
+        errors = 0
+        for _ in range(2000):
+            text = _random_expression(local, 4)
+            if local.random() < 0.1 and len(text) > 1:  # some malformed text
+                i = local.randrange(len(text))
+                text = text[:i] + text[i + 1 :]
+            try:
+                expected = _parse_by_reduction(text)
+            except ParseError:
+                errors += 1
+                with pytest.raises(ParseError):
+                    parse_rational_function(text)
+                continue
+            got = parse_rational_function(text)
+            assert (got.num, got.den) == (expected.num, expected.den), text
+        assert 0 < errors < 1000
+
+
+def _random_expression(r: random.Random, depth: int) -> str:
+    """Series text over t, integers, + - * / ^, unary minus and parentheses,
+    with exponents at most 3."""
+    k = r.random()
+    if depth == 0 or k < 0.25:
+        return r.choice(["t", "t^2", "0", "1", "2", "3"])
+    if k < 0.35:
+        return "-" + _random_expression(r, depth - 1)
+    if k < 0.5:
+        return f"({_random_expression(r, depth - 1)})^{r.randint(0, 3)}"
+    if k < 0.6:
+        return f"({_random_expression(r, depth - 1)})"
+    lhs, rhs = _random_expression(r, depth - 1), _random_expression(r, depth - 1)
+    return f"{lhs}{r.choice('+-*/')}{rhs}"
+
+
+def _parse_by_reduction(text: str) -> RationalFunction:
+    """Oracle: the earlier parser, which builds a canonical RationalFunction
+    at every atom and operator; division by zero raises ParseError."""
+    tokens = hilbert._tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take(expected=None):
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ParseError(f"unexpected token {tok!r} in {text!r}")
+        pos[0] += 1
+        return tok
+
+    def parse_expr():
+        node = parse_term()
+        while peek() in ("+", "-"):
+            op = take()
+            rhs = parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term():
+        node = parse_factor()
+        while peek() in ("*", "/"):
+            op = take()
+            rhs = parse_factor()
+            if op == "/" and rhs.is_zero():
+                raise ParseError(f"division by zero in {text!r}")
+            node = node * rhs if op == "*" else node / rhs
+        return node
+
+    def parse_factor():
+        sign = 1
+        while peek() in ("+", "-"):
+            if take() == "-":
+                sign = -sign
+        node = parse_atom()
+        while peek() == "^":
+            take("^")
+            exp = take()
+            if not isinstance(exp, int) or exp < 0:
+                raise ParseError(f"exponent must be a nonnegative integer in {text!r}")
+            base, node = node, RationalFunction.make(poly([1]))
+            for _ in range(exp):
+                node = node * base
+        return node if sign == 1 else -node
+
+    def parse_atom():
+        tok = peek()
+        if tok == "(":
+            take("(")
+            node = parse_expr()
+            take(")")
+            return node
+        if tok == "t":
+            take()
+            return RationalFunction.make(poly([0, 1]))
+        if isinstance(tok, int):
+            take()
+            return RationalFunction.make(poly([tok]))
+        raise ParseError(f"unexpected token {tok!r} in {text!r}")
+
+    node = parse_expr()
+    if pos[0] != len(tokens):
+        raise ParseError(f"trailing input after position {pos[0]} in {text!r}")
+    return node
