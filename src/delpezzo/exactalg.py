@@ -407,11 +407,43 @@ def int_kernel(M: IntMatrix) -> list[tuple]:
     return [tuple([U[i][j] for i in range(n)]) for j in free]
 
 
-def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
-    """Graver basis of the integer kernel {x : Mx = 0}; g and -g both appear.
+def signed(v: tuple) -> tuple:
+    """v with bit masks of its positive and of its negative coordinates."""
+    pos = neg = 0
+    for i, x in enumerate(v):
+        if x > 0:
+            pos |= 1 << i
+        elif x < 0:
+            neg |= 1 << i
+    return v, pos, neg
 
-    Its elements are the nonzero kernel vectors minimal under the conformal
-    order: u ⊑ v when u_i v_i >= 0 and |u_i| <= |v_i| for all i.  Pottier's
+
+def normal_form(v: tuple, elems: Sequence[tuple]) -> tuple:
+    """signed(v) minus the first element of elems under it, repeated.
+
+    Each element of elems comes from signed(), and u ⊑ w means u_i w_i >= 0
+    and |u_i| <= |w_i| for all i.  Every element subtracted lies under the
+    vector it is subtracted from, which lies under v, so v is the conformal
+    sum of the result and the elements subtracted.
+    """
+    s = signed(v)
+    while s[1] | s[2]:
+        v, off_pos, off_neg = s[0], ~s[1], ~s[2]
+        size = [abs(x) for x in v]
+        for g, gpos, gneg in elems:  # g ⊑ v, with v's side hoisted
+            if not (gpos & off_pos or gneg & off_neg) and all(map(le, map(abs, g), size)):
+                break
+        else:
+            return s
+        s = signed(tuple([a - b for a, b in zip(v, g)]))
+    return s
+
+
+def graver_completion(M: IntMatrix, node_cap: Optional[int] = None) -> tuple[list, int]:
+    """(Graver basis of the integer kernel {x : Mx = 0}, pairs reduced).
+
+    The basis holds g and -g, each as signed(g).  Its elements are the
+    nonzero kernel vectors minimal under the conformal order ⊑.  Pottier's
     completion (The Euclidean algorithm in dimension n, ISSAC 1996) starts
     from the int_kernel basis and its negatives, reduces the sum of each
     pair that is not conformal by subtracting elements that lie under it,
@@ -420,34 +452,10 @@ def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
     reaching it raises CapacityExceeded, never a partial basis.
     """
 
-    def signed(v: tuple) -> tuple:
-        """v with bit masks of its positive and of its negative coordinates."""
-        pos = neg = 0
-        for i, x in enumerate(v):
-            if x > 0:
-                pos |= 1 << i
-            elif x < 0:
-                neg |= 1 << i
-        return v, pos, neg
-
     def under(g: tuple, v: tuple) -> bool:  # g ⊑ v, both from signed()
         return not (g[1] & ~v[1] or g[2] & ~v[2]) and all(
             abs(a) <= abs(b) for a, b in zip(g[0], v[0])
         )
-
-    def normal_form(s: tuple) -> Optional[tuple]:
-        """s minus the first element under it, repeated; None at zero."""
-        s = signed(s)
-        while s[1] | s[2]:
-            v, off_pos, off_neg = s[0], ~s[1], ~s[2]
-            size = [abs(x) for x in v]
-            for g, gpos, gneg in elems:  # under(g, s), with s's side hoisted
-                if not (gpos & off_pos or gneg & off_neg) and all(map(le, map(abs, g), size)):
-                    break
-            else:
-                return s
-            s = signed(tuple([a - b for a, b in zip(v, g)]))
-        return None
 
     elems = []
     for b in int_kernel(M):
@@ -466,23 +474,81 @@ def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
                     f"{steps} pairs reduced, |G| = {len(elems)}"
                 )
             steps += 1
-            r = normal_form(tuple([a + b for a, b in zip(f, g)]))
-            if r is not None:
+            r = normal_form(tuple([a + b for a, b in zip(f, g)]), elems)
+            if r[1] | r[2]:
                 elems += [r, signed(tuple([-x for x in r[0]]))]
         k += 2
-    return [v[0] for v in elems if not any(g is not v and under(g, v) for g in elems)]
+    return [v for v in elems if not any(g is not v and under(g, v) for g in elems)], steps
+
+
+def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
+    """Graver basis of the integer kernel {x : Mx = 0}; g and -g both appear.
+
+    See graver_completion, which also returns the sign masks and the work.
+    """
+    return [v[0] for v in graver_completion(M, node_cap)[0]]
+
+
+def graver_fiber(
+    graver: Sequence[tuple], x0: tuple, node_cap: Optional[int] = None, spent: int = 0
+) -> tuple[list[tuple], int]:
+    """(⊑-minimal elements of the coset x0 + L, pairs reduced), where graver
+    is the Graver basis of the lattice L, each element from signed().
+
+    The truncated completion of [M | -M x0] with last coordinate 0 already
+    complete (Hemmecke, On the positive sum property and the computation of
+    Graver test sets, Math. Programming 96, 2003): the set starts from the
+    normal form of x0 and is closed under f -> the normal form of f + g, for
+    f in the set and g in graver with f + g not conformal.  A pair of two
+    coset vectors would have last coordinate 2 and is never formed.  Every
+    normal form is minimal, since a nonzero element of L under it would be a
+    conformal sum of elements of graver.  Every minimal w is found: write w
+    as f + a sum from graver with least 1-norm; a pair in sign conflict
+    could be replaced by a conformal sum of smaller 1-norm (from graver, or
+    the normal form of f + g plus the elements it subtracted), so the sum is
+    conformal and w = f.  Each reduced pair is one step against node_cap,
+    counted from spent, the steps taken before this call; reaching node_cap
+    raises CapacityExceeded.
+    """
+    fiber = [normal_form(x0, graver)]
+    seen = {fiber[0][0]}
+    steps = spent
+    k = 0
+    while k < len(fiber):
+        f, fpos, fneg = fiber[k]
+        for g, gpos, gneg in graver:
+            if not (fpos & gneg or fneg & gpos):
+                continue  # f + g is the conformal sum of f and g
+            if node_cap is not None and steps >= node_cap:
+                raise CapacityExceeded(
+                    f"fiber lift hit the node cap {node_cap}: {steps} pairs reduced "
+                    f"({spent} before the lift), |G0| = {len(graver)}, "
+                    f"{len(fiber)} fiber elements so far"
+                )
+            steps += 1
+            r = normal_form(tuple([a + b for a, b in zip(f, g)]), graver)
+            if r[0] not in seen:
+                seen.add(r[0])
+                fiber.append(r)
+        k += 1
+    return [v[0] for v in fiber], steps - spent
 
 
 def int_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """Some integer x with Mx = b, or None when no integer solution exists."""
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    A, U, pivots = _column_echelon(M)
-    n = M.cols
+    return echelon_solve(_column_echelon(M), b)
+
+
+def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple]:
+    """int_solve by back-substitution against (A, U, pivots) = _column_echelon(M)."""
+    A, U, pivots = echelon
+    rows, n = len(A), len(U)
     y = [0] * n
     resid = [int(v) for v in b]
     pos = {r: c for r, c in pivots}
-    for r in range(M.rows):
+    for r in range(rows):
         if r in pos:
             c = pos[r]
             if resid[r] % A[r][c] != 0:
@@ -490,7 +556,7 @@ def int_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
             t = resid[r] // A[r][c]
             y[c] = t
             if t:
-                for i in range(M.rows):
+                for i in range(rows):
                     resid[i] -= t * A[i][c]
         elif resid[r] != 0:
             return None

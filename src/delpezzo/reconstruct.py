@@ -10,8 +10,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import Infeasible, LengthMismatch, MixedIndex, NotRealizable
-from .exactalg import IntMatrix, RationalFunction, graver_basis, int_kernel, int_solve
+from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
+from .exactalg import (
+    IntMatrix, RationalFunction, _column_echelon, echelon_solve, graver_completion,
+    graver_fiber, int_kernel,
+)
 from .hilbert import (
     DeltaVector, degree_contribution, orbifold_contribution, split_series, zero_delta,
 )
@@ -130,6 +133,25 @@ class ReducedBodyResult:
         )
 
 
+@dataclass
+class _IndexContext:
+    """What reconstruction at one local index needs for every delta: Phi+,
+    its column echelon form (A, U, pivots), the int_kernel basis, and the
+    Graver basis G0 of ker Phi+ from signed(), once a completion of it has
+    finished within its node_cap."""
+
+    phi: IntMatrix
+    echelon: tuple
+    kernel: tuple
+    graver: Optional[list] = None
+
+
+@lru_cache(maxsize=None)
+def _index_context(ell: int) -> _IndexContext:
+    phi = IntMatrix.from_columns([orbifold_contribution(s).entries for s in res_plus(ell)])
+    return _IndexContext(phi, _column_echelon(phi), tuple(int_kernel(phi)))
+
+
 def enumerate_reduced_baskets(
     ell: int, delta: DeltaVector, node_cap: int = 5_000_000
 ) -> ReducedBodyResult:
@@ -139,10 +161,15 @@ def enumerate_reduced_baskets(
     Their signed Res+ vectors are the ⊑-minimal elements of the fiber
     {v : Phi+ v = delta}, where u ⊑ v means same signs and entries no
     larger in absolute value (a nonzero kernel vector under v is a
-    cancelling tuple).  These are the g[:-1] of the Graver elements g of
-    [Phi+ | -delta] with g[-1] = 1.  node_cap bounds the completion steps;
-    reaching it raises CapacityExceeded rather than returning a silently
-    truncated list.
+    cancelling tuple).  The Graver basis G0 of ker Phi+ does not depend on
+    delta: it is completed once per local index and kept.  A particular
+    solution x0 comes from the kept echelon form of Phi+, and
+    exactalg.graver_fiber lifts G0 to the fiber from the normal form of x0:
+    the truncated completion of [Phi+ | -delta] that forms only the pairs
+    of a fiber vector with an element of G0.  node_cap bounds the reduced
+    pairs of the completion of G0, when this call runs it, and of the lift
+    together; reaching it raises CapacityExceeded rather than returning a
+    silently truncated list, and a completion cut short is not kept.
     """
     if delta.local_index != ell:
         raise MixedIndex("delta has wrong local index")
@@ -152,23 +179,26 @@ def enumerate_reduced_baskets(
     if not lattice.contains(delta.entries):
         return ReducedBodyResult(ell, delta, False, None, (), (), ())
 
-    columns = [orbifold_contribution(s).entries for s in res_plus(ell)]
-    phi = IntMatrix.from_columns(columns)
-    particular = int_solve(phi, list(delta.entries))
-    if particular is None:
-        raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
-    kernel = tuple(int_kernel(phi))
-    vec = SignedBasketVector(ell, tuple(particular))
-
+    ctx = _index_context(ell)
     if delta.is_zero:
         # the empty basket is the only cancelling-tuple-free zero-sum basket
         return ReducedBodyResult(
             ell, delta, True, SignedBasketVector(ell, (0,) * len(res_plus(ell))),
-            kernel, ((),), (Fraction(0),),
+            ctx.kernel, ((),), (Fraction(0),),
         )
-
-    lifted = IntMatrix.from_columns(columns + [tuple([-x for x in delta.entries])])
-    minimal = [g[:-1] for g in graver_basis(lifted, node_cap) if g[-1] == 1]
+    spent = 0
+    if ctx.graver is None:
+        try:
+            ctx.graver, spent = graver_completion(ctx.phi, node_cap)
+        except CapacityExceeded as exc:
+            raise CapacityExceeded(f"at l = {ell}: kernel {exc}, 0 fiber elements") from None
+    particular = echelon_solve(ctx.echelon, delta.entries)
+    if particular is None:
+        raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
+    try:
+        minimal, _ = graver_fiber(ctx.graver, particular, node_cap, spent)
+    except CapacityExceeded as exc:
+        raise CapacityExceeded(f"at l = {ell}: {exc}") from None
     baskets = sorted(
         (SignedBasketVector(ell, v).basket() for v in minimal),
         key=lambda b: tuple([s.iso_key() for s in b]),
@@ -183,7 +213,9 @@ def enumerate_reduced_baskets(
     rk2 = tuple([sum([degree_contribution(s) for s in b], Fraction(0)) for b in baskets])
     if len({x % 1 for x in rk2}) > 1:
         raise RuntimeError(f"RK^2 values {rk2} differ modulo 1")
-    return ReducedBodyResult(ell, delta, True, vec, kernel, tuple(baskets), rk2)
+    return ReducedBodyResult(
+        ell, delta, True, SignedBasketVector(ell, particular), ctx.kernel, tuple(baskets), rk2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +254,14 @@ def analyze_series(h: RationalFunction) -> FeasibilityReport:
             )
     indices = sorted(bodies)
     choices = []
-    for combo in itertools.product(*(bodies[ell].baskets for ell in indices)):
-        rk2 = Fraction(0)
-        for ell, b in zip(indices, combo):
-            i = bodies[ell].baskets.index(b)
-            rk2 += bodies[ell].per_basket_rk2[i]
+    per_index = [zip(bodies[ell].baskets, bodies[ell].per_basket_rk2) for ell in indices]
+    for combo in itertools.product(*per_index):
+        rk2 = sum([a for _, a in combo], Fraction(0))
         ik2 = 12 - k2 - rk2
         feasible = ik2 >= 0 and ik2.denominator == 1
         choices.append(
             FeasibilityChoice(
-                tuple(zip(indices, combo)),
+                tuple(zip(indices, [b for b, _ in combo])),
                 rk2,
                 ik2,
                 "Feasible" if feasible else "Infeasible",
@@ -286,16 +316,11 @@ def count_bound(q: dict, ell_star: int) -> int:
     indices = sorted(bodies)
     s_max = 0
     b_best = None
-    for combo in itertools.product(*(bodies[ell].baskets for ell in indices)):
-        size = sum(s.width for b in combo for s in b)
+    per_index = [zip(bodies[ell].baskets, bodies[ell].per_basket_rk2) for ell in indices]
+    for combo in itertools.product(*per_index):
+        size = sum(s.width for b, _ in combo for s in b)
         s_max = max(s_max, size)
-        rk2 = sum(
-            (
-                bodies[ell].per_basket_rk2[bodies[ell].baskets.index(b)]
-                for ell, b in zip(indices, combo)
-            ),
-            Fraction(0),
-        )
+        rk2 = sum([a for _, a in combo], Fraction(0))
         b_best = rk2 if b_best is None else min(b_best, rk2)
     budget = 12 - (b_best if b_best is not None else Fraction(0))
     cap = budget - 1 if budget.denominator == 1 else budget.numerator // budget.denominator

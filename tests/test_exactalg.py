@@ -21,6 +21,8 @@ from delpezzo.exactalg import (
     RationalFunction,
     cyclotomic,
     graver_basis,
+    graver_completion,
+    graver_fiber,
     int_kernel,
     int_rank,
     int_solve,
@@ -274,6 +276,21 @@ class TestGraverBasis:
         got = graver_basis(m, node_cap=6364)
         assert len(got) == 212
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "5bd9d90aad9b874c"
+
+    def test_pinned_lift_at_seven(self):
+        """The same point split by local index: ker Phi+ alone completes to
+        |G0| = 142 in 2,979 pairs, and lifting G0 to the fiber of delta
+        reduces 2,602 pairs and returns these 35 vectors in this order."""
+        phi = IntMatrix.from_columns([orbifold_contribution(s).entries for s in res_plus(7)])
+        g0, steps = graver_completion(phi)
+        assert (len(g0), steps) == (142, 2979)
+        assert [v[0] for v in g0] == graver_basis(phi)
+        x0 = int_solve(phi, orbifold_contribution(Singularity(7, 1)).entries)
+        with pytest.raises(CapacityExceeded, match="2601 pairs reduced .*, \\|G0\\| = 142, "):
+            graver_fiber(g0, x0, node_cap=2601)
+        got, pairs = graver_fiber(g0, x0, node_cap=2602)
+        assert (len(got), pairs) == (35, 2602)
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "59eb2a456ae9981f"
 
 
 class TestRationalFunction:

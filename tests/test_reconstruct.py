@@ -10,6 +10,7 @@ the resulting basket sets are compared with the production enumerator.
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -41,7 +42,9 @@ from delpezzo.errors import (
     MixedIndex,
     NotRealizable,
 )
+from delpezzo.exactalg import IntMatrix, echelon_solve, graver_basis, graver_completion, graver_fiber
 from delpezzo.hilbert import zero_delta
+from delpezzo.reconstruct import _index_context
 
 rng = random.Random(20260824)
 
@@ -205,6 +208,83 @@ class TestEnumerateOracle:
     def test_rk2_congruent_mod_one(self, delta):
         res = enumerate_reduced_baskets(delta.local_index, delta)
         assert len({rk % 1 for rk in res.per_basket_rk2}) == 1
+
+
+@lru_cache(maxsize=None)
+def completion_oracle(ell, entries):
+    """The g[:-1] of the Graver elements g of [Phi+ | -delta] with g[-1] = 1:
+    the fiber's minimal vectors by one full completion, with no per-index
+    part kept."""
+    columns = [orbifold_contribution(s).entries for s in res_plus(ell)]
+    lifted = IntMatrix.from_columns(columns + [tuple(-x for x in entries)])
+    return [g[:-1] for g in graver_basis(lifted) if g[-1] == 1]
+
+
+def check_lift(ell, deltas, cache):
+    """enumerate_reduced_baskets against completion_oracle, with the per-index
+    context cleared before every call (cold) or kept from a first call (warm)."""
+    enumerate_reduced_baskets(ell, deltas[0])
+    for delta in deltas:
+        if cache == "cold":
+            _index_context.cache_clear()
+        vectors = enumerate_reduced_baskets(ell, delta).vectors
+        expected = completion_oracle(ell, delta.entries)
+        assert len(vectors) == len(expected) and set(vectors) == set(expected), delta
+
+
+class TestPerIndexLift:
+    """The fiber lifted from the kept Graver basis of ker Phi+ equals the
+    fiber part of one completion of [Phi+ | -delta]."""
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("ell", [5, 7, 8, 9, 10, 12])
+    def test_signed_single_classes(self, ell, cache):
+        points = [s for rep in res_plus(ell) for s in (rep, hyperplane_inverse(rep))]
+        check_lift(ell, [orbifold_contribution(s) for s in points], cache)
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("ell", [5, 8, 10, 12])
+    def test_seeded_lattice_vectors(self, ell, cache):
+        qs = [orbifold_contribution(s).entries for s in res_plus(ell)]
+        draw = random.Random(ell)
+        deltas = []
+        for _ in range(40):
+            v = [draw.randint(-2, 2) for _ in qs]
+            deltas.append(DeltaVector(ell, tuple(
+                sum(c * q[i] for c, q in zip(v, qs)) for i in range(ell - 2)
+            )))
+        check_lift(ell, deltas, cache)
+
+    def test_cut_completion_is_not_kept(self):
+        _index_context.cache_clear()
+        with pytest.raises(
+            CapacityExceeded,
+            match=r"^at l = 5: kernel Graver completion hit the node cap 1: "
+            r"1 pairs reduced, \|G\| = 6, 0 fiber elements$",
+        ):
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
+        assert _index_context(5).graver is None
+        assert len(enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2))).baskets) == 4
+
+    def test_warm_cap_counts_the_lift(self):
+        enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
+        with pytest.raises(
+            CapacityExceeded,
+            match=r"^at l = 5: fiber lift hit the node cap 1: 1 pairs reduced "
+            r"\(0 before the lift\), \|G0\| = 8, 2 fiber elements so far$",
+        ):
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
+
+    def test_cold_cap_counts_completion_and_lift(self):
+        ctx = _index_context(5)
+        g0, completion = graver_completion(ctx.phi)
+        _, lift = graver_fiber(g0, echelon_solve(ctx.echelon, (2, 1, 2)))
+        cap = completion + lift
+        _index_context.cache_clear()
+        with pytest.raises(CapacityExceeded, match=f"{cap - 1} pairs reduced \\({completion} before"):
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap - 1)
+        _index_context.cache_clear()
+        assert len(enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap).baskets) == 4
 
 
 class TestSignedBasketVector:
