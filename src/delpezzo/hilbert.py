@@ -4,11 +4,12 @@ degree contributions, and Hilbert-series assembly/decomposition.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from typing import Sequence
 
 from .errors import (
     AmbiguousDecomposition,
@@ -25,6 +26,7 @@ from .exactalg import (
     poly,
     poly_add,
     poly_content,
+    poly_div_exact,
     poly_divmod,
     poly_mul,
     poly_neg,
@@ -264,66 +266,112 @@ class HilbertSeries:
 
 def initial_term(k_squared: Fraction) -> RationalFunction:
     """(1 + (K^2 - 2) t + t^2) / (1 - t)^3 with exact rational K^2."""
-    k = Fraction(k_squared)
-    num = poly(
-        [k.denominator, k.numerator - 2 * k.denominator, k.denominator]
-    )
-    den = poly_mul(
-        (k.denominator,), poly_mul((1, -1), poly_mul((1, -1), (1, -1)))
-    )
-    return RationalFunction.make(num, den)
+    p, q = Fraction(k_squared).as_integer_ratio()
+    return RationalFunction.make((q, p - 2 * q, q), (q, -3 * q, 3 * q, -q))
+
+
+class _Frame:
+    """The common denominator of the series system over candidate indices.
+
+    D = (1-t)^3 times Phi_n over the n >= 2 that divide a candidate, so
+    (1-t)^3 and every 1 - t^l divide D; L is the lcm of the candidates.
+    Times L*D, 1/(1-t) is `geometric`, K^2 t/(1-t)^3 is K^2 times `degree`
+    and N_l/(l(1-t^l)) is N_l times `parts[l]`, all in Z[t].
+    """
+
+    def __init__(self, candidates: tuple):
+        self.orders = sorted({n for ell in candidates for n in range(2, ell + 1) if ell % n == 0})
+        cube = self.den = (1, -3, 3, -1)
+        for n in self.orders:
+            self.den = poly_mul(self.den, cyclotomic(n))
+        self.lcm = lcm(*candidates)
+        self.geometric = poly_scale(poly_div_exact(self.den, (1, -1)), self.lcm)
+        self.degree = poly_scale((0, *poly_div_exact(self.den, cube)), self.lcm)
+        self.parts = {ell: poly_scale(poly_div_exact(self.den, (1, *[0] * (ell - 1), -1)), self.lcm // ell)
+                      for ell in candidates}
+
+    @cached_property
+    def system(self) -> tuple[list, list]:
+        """(rows, bases): the integer matrix, a row per power of t, of columns
+        `degree` and t*b*parts[l] for each (l, b), b in the delta-lattice basis."""
+        from .quiver import delta_lattice  # deferred: quiver builds on this module
+
+        bases = [(ell, b) for ell in self.parts for b in delta_lattice(ell).basis]
+        cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
+        nrows = max(map(len, cols))
+        return [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)], bases
+
+
+_frame = lru_cache(maxsize=None)(_Frame)
+
+
+def _divisor_closure(indices) -> tuple:
+    """The sorted l >= 3 that divide one of the indices."""
+    return tuple(sorted({d for n in indices for d in range(3, n + 1) if n % d == 0}))
 
 
 def assemble_series(b: Basket, k_squared) -> HilbertSeries:
+    """(1 + (K^2 - 2)t + t^2)/(1 - t)^3 plus the orbifold parts of b.
+
+    With K^2 = p/q, the numerator over q*L*D in the frame of the parts'
+    indices is q*geometric + p*degree + q*sum N_l*parts[l]; it is reduced
+    once, by the Phi_n of D that divide it and then the content and sign.
+    """
     k = Fraction(k_squared)
     parts, _ = basket_contributions(b)
-    series = initial_term(k)
-    for v in parts.values():
-        series = series + v.rational_function()
+    frame = _frame(_divisor_closure(parts))
+    p, q = k.numerator, k.denominator
+    num = poly_add(poly_scale(frame.geometric, q), poly_scale(frame.degree, p))
+    for ell, v in parts.items():
+        num = poly_add(num, poly_scale(poly_mul(frame.parts[ell], (0, *v.entries)), q))
+    den = poly_scale(frame.den, q * frame.lcm)
+    for n in (1, 1, 1, *frame.orders):
+        quotient, rest = poly_divmod(num, cyclotomic(n))
+        if not rest:
+            num, den = quotient, poly_div_exact(den, cyclotomic(n))
+    # den is q*L times a product of cyclotomic polynomials, of content 1
+    g = gcd(poly_content(num), q * frame.lcm) * (1 if den[0] > 0 else -1)
+    series = RationalFunction(tuple([x // g for x in num]), tuple([x // g for x in den]))
     return HilbertSeries(series, k, parts)
 
 
 def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]:
     """Recover (K^2, per-local-index delta-vectors) from a Hilbert series.
 
-    Inverse of assemble_series.  The initial term is the unique part with a
-    triple pole at t=1; the remainder is matched, in one exact solve, against
-    numerators over l(1 - t^l) in the delta-lattice at l, for the candidate
-    indices read off the cyclotomic factors of its denominator.
+    Inverse of assemble_series.  The candidate indices are read off the
+    cyclotomic factors of H's denominator c*den'.  Over L*D in their frame,
+    H - 1/(1-t) = K^2 t/(1-t)^3 + sum_l N_l/(l(1-t^l)), with N_l in the
+    delta-lattice at l, is one integer system with K^2 as one more unknown:
+    L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
     """
     if H.den[0] == 0:
         raise NotASurfaceSeries("series has a pole at t=0")
-    if H.is_zero() or H.series_coefficients(1)[0] != 1:
+    if not H.num or H.num[0] != H.den[0]:
         raise NotASurfaceSeries("constant term must be 1")
     if H.pole_order_at_one() != 3:
         raise NotASurfaceSeries("series must have a triple pole at t=1")
-    cube = RationalFunction.make(
-        poly_mul((1, -1), poly_mul((1, -1), (1, -1))), (1,)
-    )
-    k_squared = (H * cube).eval(1)
-    remainder = H - initial_term(k_squared)
-    if remainder.is_zero():
-        return k_squared, {}
-
-    candidates = _candidate_indices(remainder.den)
-    if not candidates:
-        raise NotASurfaceSeries("remainder has no cyclotomic pole structure")
-    solution = _solve_delta_system(remainder, candidates)
+    frame = _frame(tuple(_candidate_indices(H.den)))
+    c = poly_content(H.den)
+    cofactor, rest = poly_divmod(frame.den, poly_primitive(H.den))
+    if rest:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
+    rows, bases = frame.system
+    if len(rhs) > len(rows):
+        raise NotASurfaceSeries("series is not a sum of orbifold parts")
+    solution = _gauss_solve_unique(rows, [*rhs, *[0] * (len(rows) - len(rhs))])
     if solution is None:
-        raise AmbiguousDecomposition(
-            "decomposition solver has a nontrivial nullspace"
-        )
-    parts: dict[int, DeltaVector] = {}
-    for ell, values in solution.items():
-        ints = []
-        for x in values:
-            if Fraction(x).denominator != 1:
-                raise NonIntegralDelta(f"non-integer delta at index {ell}")
-            ints.append(int(x))
-        v = DeltaVector(ell, tuple(ints))
-        if not v.is_zero:
-            parts[ell] = v
-    return k_squared, dict(sorted(parts.items()))
+        raise AmbiguousDecomposition("decomposition solver has a nontrivial nullspace")
+    sums = {ell: [0] * (ell - 2) for ell in frame.parts}
+    for (ell, g), x in zip(bases, solution[1:]):
+        sums[ell] = [a + x * e for a, e in zip(sums[ell], g)]
+    parts = {}
+    for ell, acc in sums.items():
+        if any(x % c for x in acc):
+            raise NonIntegralDelta(f"non-integer delta at index {ell}")
+        if any(acc):
+            parts[ell] = DeltaVector(ell, tuple([int(x // c) for x in acc]))
+    return solution[0] / c, parts
 
 
 def _candidate_indices(den: Sequence) -> list[int]:
@@ -357,7 +405,7 @@ def _candidate_indices(den: Sequence) -> list[int]:
             quotient, rest = poly_divmod(den, cyclotomic(n))
     if len(den) != 1:
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
-    return sorted({d for n in orders for d in range(3, n + 1) if n % d == 0})
+    return list(_divisor_closure(orders))
 
 
 def _phi_sieve(bound: int) -> list[int]:
@@ -368,63 +416,6 @@ def _phi_sieve(bound: int) -> list[int]:
             for m in range(p, bound + 1, p):
                 phi[m] -= phi[m] // p
     return phi
-
-
-def _solve_delta_system(
-    remainder: RationalFunction, candidates: list[int]
-) -> Optional[dict[int, tuple]]:
-    """Match remainder = sum_l N_l/(l(1-t^l)) by exact linear algebra.
-
-    The unknowns are the coordinates of each N_l in the basis of the
-    delta-lattice at l.  Returns None when the system is singular
-    (nullspace) and raises on inconsistency.
-    """
-    from .quiver import delta_lattice  # deferred: quiver builds on this module
-
-    bases = [(ell, g) for ell in candidates for g in delta_lattice(ell).basis]
-
-    # remainder = num / (c * den') with den' primitive; over the common
-    # denominator, the lcm of the 1 - t^l (up to sign the product of Phi_n
-    # over the divisors n of the candidates), every part is an integer
-    # polynomial
-    one_minus = {ell: poly([1] + [0] * (ell - 1) + [-1]) for ell in candidates}
-    common = poly((1,))
-    for n in {n for ell in candidates for n in range(1, ell + 1) if ell % n == 0}:
-        common = poly_mul(common, cyclotomic(n))
-    c = poly_content(remainder.den)
-    cofactor, rest = poly_divmod(common, poly_primitive(remainder.den))
-    if rest:
-        # remainder denominator must divide the lcm of the 1 - t^l
-        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
-
-    # times L * c * common, L = lcm of the candidates, the part
-    # N_l / (l (1 - t^l)) is c * L/l * N_l * common/(1 - t^l) and the
-    # remainder is L * num * cofactor
-    lcm = 1
-    for ell in candidates:
-        lcm = lcm * ell // gcd(lcm, ell)
-    rhs_poly = poly_scale(poly_mul(remainder.num, cofactor), lcm)
-    scaled = {
-        ell: poly_scale(poly_divmod(common, f)[0], c * (lcm // ell))
-        for ell, f in one_minus.items()
-    }
-    col_polys = [poly_mul(poly([0, *entries]), scaled[ell]) for ell, entries in bases]
-
-    nrows = max([len(rhs_poly)] + [len(col) for col in col_polys])
-    matrix = [
-        [col[i] if i < len(col) else 0 for col in col_polys] for i in range(nrows)
-    ]
-    rhs = [rhs_poly[i] if i < len(rhs_poly) else 0 for i in range(nrows)]
-
-    coeffs = _gauss_solve_unique(matrix, rhs)
-    if coeffs is None:
-        return None
-    out: dict[int, list] = {}
-    for (ell, entries), x in zip(bases, coeffs):
-        acc = out.setdefault(ell, [0] * (ell - 2))
-        for i, e in enumerate(entries):
-            acc[i] += x * e
-    return {ell: tuple(v) for ell, v in out.items()}
 
 
 def _gauss_solve_unique(matrix, rhs):
@@ -474,20 +465,27 @@ def _gauss_solve_unique(matrix, rhs):
 # ---------------------------------------------------------------------------
 # rational-function text grammar
 
+_NESTING_LIMIT = 100
+_EXPONENT_LIMIT = 10_000
+_TOKEN = re.compile(r"([0-9]{1,4000})|([-t+*/^()])|(\S)")
+
 
 def parse_rational_function(text: str) -> RationalFunction:
     """Parse `(1+7*t+t^2)/(1-t)^3`-style expressions.
 
-    Grammar: integer literals, `t`, the operators + - * / ^ and parentheses.
-    Subexpressions stay unreduced pairs (num, den) over Z[t]; one final
-    RationalFunction.make gives the canonical form that reducing at every
-    node would, as Z[t] is an integral domain.  Division by zero: ParseError.
+    Grammar: ASCII integer literals of at most 4000 digits (below the
+    interpreter's int() limit), `t`, the operators + - * / ^ and
+    parentheses.  Nesting past _NESTING_LIMIT (the recursion would exhaust
+    the stack), an exponent past _EXPONENT_LIMIT (t^k is a k-term tuple)
+    and division by zero raise ParseError.  Subexpressions stay unreduced
+    pairs (num, den) over Z[t]; one final RationalFunction.make gives the
+    canonical form that reducing at every node would, as Z[t] is a domain.
     """
-    tokens = _tokenize(text)
-    pos = [0]
+    tokens = [*_tokenize(text), None]
+    pos = [0, 0]  # next token, parentheses open
 
     def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+        return tokens[pos[0]]
 
     def take(expected=None):
         tok = peek()
@@ -521,56 +519,57 @@ def parse_rational_function(text: str) -> RationalFunction:
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
-        node = parse_atom()
+        num, den = parse_atom()
         while peek() == "^":
             take("^")
             exp = take()
-            if not isinstance(exp, int) or exp < 0:
-                raise ParseError(f"exponent must be a nonnegative integer in {text!r}")
-            base, node = node, ((1,), (1,))
-            for _ in range(exp):
-                node = poly_mul(node[0], base[0]), poly_mul(node[1], base[1])
-        return node if sign == 1 else (poly_neg(node[0]), node[1])
+            if not isinstance(exp, int) or exp > _EXPONENT_LIMIT:
+                raise ParseError(f"exponent must be an integer 0..{_EXPONENT_LIMIT} in {text!r}")
+            num, den = _poly_pow(num, exp), _poly_pow(den, exp)
+        return (num, den) if sign == 1 else (poly_neg(num), den)
 
     def parse_atom():
         tok = peek()
         if tok == "(":
             take("(")
+            pos[1] += 1
+            if pos[1] > _NESTING_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {_NESTING_LIMIT} in {text!r}")
             node = parse_expr()
             take(")")
+            pos[1] -= 1
             return node
-        if tok == "t":
+        if tok == "t" or isinstance(tok, int):
             take()
-            return (0, 1), (1,)
-        if isinstance(tok, int):
-            take()
-            return poly([tok]), (1,)
+            return ((0, 1) if tok == "t" else poly([tok])), (1,)
         raise ParseError(f"unexpected token {tok!r} in {text!r}")
 
     num, den = parse_expr()
-    if pos[0] != len(tokens):
+    if pos[0] != len(tokens) - 1:
         raise ParseError(f"trailing input after position {pos[0]} in {text!r}")
     return RationalFunction.make(num, den)
 
 
+def _poly_pow(p: tuple, k: int) -> tuple:
+    """p^k: c^k t^(jk) at once for a monomial c t^j, else by binary powering."""
+    if p and not any(p[:-1]):
+        return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
+    out = (1,)
+    while k:
+        if k & 1:
+            out = poly_mul(out, p)
+        k >>= 1
+        p = poly_mul(p, p) if k else p
+    return out
+
+
 def _tokenize(text: str) -> list:
+    """Literals, `t`, operators and parentheses; any other non-space raises."""
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch in "t+-*/^()":
-            out.append(ch)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} in {text!r}")
+    for digits, op, other in _TOKEN.findall(text):
+        if other:
+            raise ParseError(f"unexpected character {other!r} in {text!r}")
+        out.append(int(digits) if digits else op)
     if not out:
         raise ParseError("empty input")
     return out

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delpezzo import (
@@ -205,8 +205,10 @@ class TestExitCodes:
             ("analyze", "(t)*(-(1)/(0))"),
             ("analyze", "1/t"),
             ("analyze", "(1+t)/(t-t^2)"),
+            ("analyze", "(1+t\u00b2)/(1-t)^3"),
+            ("analyze", "(" * 400 + "t" + ")" * 400),
         ],
-        ids=" ".join,
+        ids=lambda args: " ".join(args)[:40],
     )
     def test_bad_input_is_named_without_traceback(self, args):
         p = run(*args)
@@ -259,16 +261,44 @@ _series_text = st.recursive(
 _token_soup = st.lists(st.sampled_from(list("t+-*/^()0123")), max_size=12).map("".join)
 
 
-@settings(
+# parentheses nested past the parser's limit, around series text
+_deep_nesting = st.builds(
+    lambda n, inner: "(" * n + inner + ")" * n, st.integers(80, 400), _series_text
+)
+_fuzz_settings = settings(
     max_examples=400, deadline=None, derandomize=True, database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(st.one_of(_series_text, _token_soup))
+
+
+def _status(args):
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@_fuzz_settings
+@given(st.one_of(_series_text, _token_soup, st.text(), _deep_nesting))
+@example("(1+t\u00b2)/(1-t)^3")  # a superscript digit: isdigit() but not int()
+@example("(" * 400 + "t" + ")" * 400)
 def test_analyze_fuzz_exits_with_a_status(text):
     """`analyze` on any text returns 0 or 1 or exits with usage status 2;
     it never lets another exception out."""
-    try:
-        code = main(["analyze", text])
-    except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 1, 2)
+    assert _status(["analyze", text]) in (0, 1, 2)
+
+
+# singularity text with small numbers, some of them not a point
+_point_text = st.builds("1/{}(1,{})".format, st.integers(0, 60), st.integers(0, 60))
+
+
+@_fuzz_settings
+@given(st.one_of(st.text(), _point_text))
+def test_contrib_fuzz_exits_with_a_status(text):
+    assert _status(["contrib", text]) in (0, 1, 2)
+
+
+@_fuzz_settings
+@given(st.one_of(st.text(), st.lists(_point_text, max_size=4).map(", ".join).map("{{{}}}".format)))
+def test_bounds_fuzz_exits_with_a_status(text):
+    assert _status(["bounds", text]) in (0, 1, 2)

@@ -7,6 +7,7 @@ modulo 1 + t + ... + t^(r-1).
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -29,24 +30,37 @@ from delpezzo import (
     shatterings,
     split_series,
 )
-from delpezzo import hilbert
-from delpezzo.errors import NotASurfaceSeries, ParseError
+from delpezzo import exactalg, hilbert
+from delpezzo.errors import (
+    AmbiguousDecomposition,
+    DelPezzoError,
+    NonIntegralDelta,
+    NotASurfaceSeries,
+    ParseError,
+)
 from delpezzo.exactalg import (
     RationalFunction,
     cyclotomic,
     poly,
+    poly_content,
     poly_div_exact,
+    poly_divmod,
     poly_inverse_mod,
     poly_mul,
+    poly_primitive,
+    poly_scale,
 )
 from delpezzo.hilbert import (
     _candidate_indices,
+    _frame,
     _dedekind_totals,
     _gauss_solve_unique,
     _periodic_quotient,
+    basket_contributions,
     initial_term,
     zero_delta,
 )
+from delpezzo.quiver import delta_lattice
 from delpezzo.reconstruct import residuals_of_index
 
 rng = random.Random(20260824)
@@ -393,6 +407,198 @@ class TestSeriesRoundTrip:
         }
 
 
+def _assemble_by_addition(b, k2) -> RationalFunction:
+    """Oracle: the earlier assembly, the initial term plus each part's
+    rational_function(), one reducing gcd per addition."""
+    parts, _ = basket_contributions(b)
+    series = initial_term(Fraction(k2))
+    for v in parts.values():
+        series = series + v.rational_function()
+    return series
+
+
+def _split_by_remainder(H):
+    """Oracle: the earlier split, K^2 from the triple pole at t=1 and then the
+    remainder H - initial_term(K^2) solved over the delta-lattices."""
+    if H.den[0] == 0:
+        raise NotASurfaceSeries("series has a pole at t=0")
+    if H.is_zero() or H.series_coefficients(1)[0] != 1:
+        raise NotASurfaceSeries("constant term must be 1")
+    if H.pole_order_at_one() != 3:
+        raise NotASurfaceSeries("series must have a triple pole at t=1")
+    cube = RationalFunction.make(poly_mul((1, -1), poly_mul((1, -1), (1, -1))), (1,))
+    k_squared = (H * cube).eval(1)
+    remainder = H - initial_term(k_squared)
+    if remainder.is_zero():
+        return k_squared, {}
+    candidates = _candidate_indices(remainder.den)
+    if not candidates:
+        raise NotASurfaceSeries("remainder has no cyclotomic pole structure")
+    bases = [(ell, g) for ell in candidates for g in delta_lattice(ell).basis]
+    common = poly((1,))
+    for n in {n for ell in candidates for n in range(1, ell + 1) if ell % n == 0}:
+        common = poly_mul(common, cyclotomic(n))
+    c = poly_content(remainder.den)
+    cofactor, rest = poly_divmod(common, poly_primitive(remainder.den))
+    if rest:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    lcm = 1
+    for ell in candidates:
+        lcm = lcm * ell // gcd(lcm, ell)
+    rhs = poly_scale(poly_mul(remainder.num, cofactor), lcm)
+    scaled = {
+        ell: poly_scale(poly_divmod(common, poly([1] + [0] * (ell - 1) + [-1]))[0], c * (lcm // ell))
+        for ell in candidates
+    }
+    cols = [poly_mul(poly([0, *g]), scaled[ell]) for ell, g in bases]
+    nrows = max([len(rhs)] + [len(col) for col in cols])
+    matrix = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
+    coeffs = _gauss_solve_unique(matrix, [rhs[i] if i < len(rhs) else 0 for i in range(nrows)])
+    if coeffs is None:
+        raise AmbiguousDecomposition("decomposition solver has a nontrivial nullspace")
+    out = {}
+    for (ell, g), x in zip(bases, coeffs):
+        acc = out.setdefault(ell, [0] * (ell - 2))
+        for i, e in enumerate(g):
+            acc[i] += x * e
+    parts = {}
+    for ell, values in out.items():
+        if any(Fraction(x).denominator != 1 for x in values):
+            raise NonIntegralDelta(f"non-integer delta at index {ell}")
+        v = DeltaVector(ell, tuple(int(x) for x in values))
+        if not v.is_zero:
+            parts[ell] = v
+    return k_squared, dict(sorted(parts.items()))
+
+
+def _outcome(split, H):
+    """The split's value, or the class of the library error it raised."""
+    try:
+        return split(H)
+    except DelPezzoError as exc:
+        return type(exc)
+
+
+class TestFrameOracle:
+    """assemble_series and split_series over the cached frame against the
+    RationalFunction arithmetic that they replaced."""
+
+    NESTED = ((3, 6), (3, 9), (3, 12), (4, 8), (4, 12), (5, 10), (5, 15), (6, 12), (7, 14))
+
+    def point(self, local, ell):
+        """A point 1/r(1,a) of local index l, with r = k*l and a = k*c - 1."""
+        while True:
+            k = local.randint(1, 2 * ell)
+            c = local.choice([x for x in range(1, ell) if gcd(x, ell) == 1])
+            if k * c > 1 and gcd(k * ell, k * c - 1) == 1:
+                return Singularity(k * ell, k * c - 1)
+
+    def baskets(self, local, count):
+        """Baskets of up to 4 points with l <= 15, every other one holding
+        two points at nested indices l | l'."""
+        for i in range(count):
+            ells = [local.randint(2, 15) for _ in range(local.randint(0, 4))]
+            if i % 2:
+                ells[:2] = local.choice(self.NESTED)
+            yield basket([self.point(local, ell) for ell in ells])
+
+    def test_assemble_and_split_match_the_oracle(self):
+        local = random.Random(20261018)
+        nested = 0
+        for b in self.baskets(local, 320):
+            k2 = Fraction(local.randint(1, 120), local.randint(1, 30))
+            hs = assemble_series(b, k2)
+            expected = _assemble_by_addition(b, k2)
+            assert (hs.series.num, hs.series.den) == (expected.num, expected.den), b
+            assert split_series(hs.series) == _split_by_remainder(expected) == (k2, hs.orbifold_parts)
+            ells = sorted(hs.orbifold_parts)
+            nested += any(m % l == 0 for l in ells for m in ells if m > l)
+        assert nested >= 60
+
+    @pytest.mark.parametrize(
+        "points",
+        [((8, 5),) * 4, ((3, 1),) * 9, ((48, 41), (16, 9)), ((6, 1), (16, 1), (24, 19))],
+        ids=["4x1/8(1,5)", "9x1/3(1,1)", "1/48(1,41)+1/16(1,9)", "mixed"],
+    )
+    def test_assembly_where_the_poles_at_one_cancel(self, points):
+        """At K^2 = 0 the initial term is 1/(1-t); where the parts' residues
+        at t=1, sum(delta)/l^2, add up to -1, the pole at t=1 cancels and
+        Phi_1 leaves the denominator three times."""
+        b = basket([Singularity(r, a) for r, a in points])
+        expected = _assemble_by_addition(b, 0)
+        got = assemble_series(b, 0).series
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+    def test_rejected_series_raise_the_same_class(self):
+        """The series that `analyze` must refuse: a valid series scaled by 2
+        or by 1 - t or plus a power of t (a numerator of higher degree than
+        any part's), and the initial term plus a palindromic delta-vector off
+        the delta-lattice; both paths give the same answer or error class."""
+        local = random.Random(20261019)
+        seen = set()
+        for b in self.baskets(local, 60):
+            hs = assemble_series(b, Fraction(local.randint(1, 60), local.randint(1, 12)))
+            power = RationalFunction.make((0,) * local.randint(1, 40) + (1,))
+            for H in (RationalFunction.make((2,)) * hs.series, RationalFunction.make((1, -1)) * hs.series,
+                      hs.series + power):
+                assert _outcome(split_series, H) is _outcome(_split_by_remainder, H) is NotASurfaceSeries
+        for ell in (6, 8, 9, 10, 12, 14, 15):
+            lattice, n = delta_lattice(ell), ell - 2
+            for j in range((n + 1) // 2):
+                delta = [int(i in (j, n - 1 - j)) for i in range(n)]
+                for g in lattice.generators:
+                    c = local.randint(-2, 2)
+                    delta = [x + c * y for x, y in zip(delta, g)]
+                k2 = Fraction(local.randint(1, 60), ell)
+                H = initial_term(k2) + DeltaVector(ell, tuple(delta)).rational_function()
+                got = _outcome(split_series, H)
+                assert got == _outcome(_split_by_remainder, H), (ell, delta)
+                seen.add(got if isinstance(got, type) else "split")
+        assert {"split", NonIntegralDelta} <= seen
+
+
+class TestWorkPins:
+    """Counted kernel calls, so that a regression in the work of the front
+    end fails without a timing test."""
+
+    def counter(self, monkeypatch, module, name):
+        calls = [0]
+        kernel = getattr(module, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_split_makes_no_gcd_and_assemble_at_most_one(self, monkeypatch):
+        b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(5, 2), Singularity(7, 1)])
+        for cold in (True, False):
+            if cold:
+                _frame.cache_clear()
+            gcds = self.counter(monkeypatch, exactalg, "poly_gcd_primitive")
+            hs = assemble_series(b, Fraction(7, 3))
+            assert gcds[0] <= 1
+            gcds[0] = 0
+            assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
+            assert gcds[0] == 0
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "text, most",
+        [("t^500", 0), ("(3*t^2)^500", 2), ("(1+t)^500", 2 * 9), ("(1-t)^500/(1+t)^3", 2 * 9 + 2 * 2 + 1)],
+    )
+    def test_powers_take_logarithmically_many_products(self, monkeypatch, text, most):
+        """A monomial base c*t^j is raised at once; any other by binary
+        powering, at most two products per bit of the exponent.  `most` also
+        counts the products that build the base and join the quotient."""
+        muls = self.counter(monkeypatch, hilbert, "poly_mul")
+        rf = parse_rational_function(text)
+        assert muls[0] <= most
+        assert rf == _parse_by_reduction(text)
+
+
 class TestCandidateIndices:
     """_candidate_indices strips cyclotomic factors exactly."""
 
@@ -540,6 +746,21 @@ class TestParser:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_rational_function(bad)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("(1+t\u00b2)/(1-t)^3", "unexpected character '\u00b2'"),
+            ("(1+\u0663*t)/(1-t)^3", "unexpected character '\u0663'"),  # an Arabic-Indic 3
+            ("(" * 400 + "t" + ")" * 400, "parentheses nested deeper than 100"),
+            ("(1-t)^10001", "exponent must be an integer 0..10000"),
+            ("1" * 4001, "trailing input"),
+        ],
+        ids=["superscript", "arabic-indic", "nesting", "exponent", "digits"],
+    )
+    def test_refusals_name_their_reason(self, text, named):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            parse_rational_function(text)
 
     @pytest.mark.parametrize("text", ["1/0", "(t)*(-(1)/(0))", "1/(t - t)", "t/(1 - 1)^2"])
     def test_division_by_zero_is_a_parse_error(self, text):
