@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,7 @@ from .reconstruct import (
     degree_bounds,
     enumerate_reduced_baskets,
 )
-from .singularity import Singularity, basket, residue
+from .singularity import SINGULARITY_TEXT, Singularity, basket, residue
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +88,10 @@ def fmt_terms(rf, count: int) -> str:
 # input parsing
 
 
-_SING_RE = re.compile(r"[0-9]+\s*/\s*[0-9]+\s*\(\s*[0-9]+\s*,\s*[0-9]+\s*\)")
-
-
 def parse_basket_text(text: str):
-    matches = list(_SING_RE.finditer(text))
-    leftover = _SING_RE.sub("", text)
-    if leftover.strip().strip("{},").strip():
+    matches = list(SINGULARITY_TEXT.finditer(text))
+    leftover = "".join(SINGULARITY_TEXT.sub("", text).split())
+    if leftover.strip("{},"):
         raise ParseError(f"cannot parse basket {text!r}")
     return basket(Singularity.parse(m.group(0)) for m in matches)
 
@@ -315,6 +311,8 @@ def cmd_count_bound(args) -> int:
             ell = int(ell_text)
         except ValueError as exc:
             raise ParseError(f"bad local index in {item!r}") from exc
+        if ell in q:
+            raise ParseError(f"local index {ell} given twice, again in {item!r}")
         q[ell] = DeltaVector(ell, parse_delta_entries(entries_text))
     n = count_bound(q, args.ell_star)
     emit(args, schema(verdict=str(n)), [f"N={n}"])
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON output")
         if terms:
             p.add_argument(
-                "--terms", type=int, default=0, metavar="N",
+                "--terms", type=int_at_least(0), default=0, metavar="N",
                 help="append the first N series coefficients",
             )
 

@@ -542,27 +542,46 @@ def int_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 
 
 def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple]:
-    """int_solve by back-substitution against (A, U, pivots) = _column_echelon(M)."""
+    """int_solve against (A, U, pivots) = _column_echelon(M).
+
+    U is unimodular, so an integer x = U y with Mx = b exists exactly when
+    the y of echelon_substitute is integral.
+    """
+    y = echelon_substitute(echelon, b)
+    if y is None or any(v.denominator != 1 for v in y):
+        return None
+    U = echelon[1]
+    return tuple([sum([u * int(v) for u, v in zip(row, y)]) for row in U])
+
+
+def echelon_substitute(echelon: tuple, b: Sequence) -> Optional[list]:
+    """y over Q with A y = b and y zero off the pivot columns, for
+    (A, U, pivots) = _column_echelon(M); None when A y = b, and so M x = b,
+    is inconsistent.
+
+    Forward substitution: a pivot column is zero above its pivot row, and a
+    row without a pivot is zero right of the pivots before it, so each
+    pivot row fixes its y and each other row must have no residue left.
+    y stays in ints while every pivot divides its residue.
+    """
     A, U, pivots = echelon
-    rows, n = len(A), len(U)
-    y = [0] * n
-    resid = [int(v) for v in b]
-    pos = {r: c for r, c in pivots}
-    for r in range(rows):
-        if r in pos:
-            c = pos[r]
-            if resid[r] % A[r][c] != 0:
+    y = [0] * len(U)
+    resid = list(b)
+    pos = dict(pivots)
+    for r in range(len(A)):
+        c = pos.get(r)
+        if c is None:
+            if resid[r]:
                 return None
-            t = resid[r] // A[r][c]
-            y[c] = t
-            if t:
-                for i in range(rows):
+            continue
+        p = A[r][c]
+        q, rest = divmod(resid[r], p)
+        y[c] = t = Fraction(resid[r], p) if rest else q
+        if t:
+            for i in range(r + 1, len(A)):
+                if A[i][c]:
                     resid[i] -= t * A[i][c]
-        elif resid[r] != 0:
-            return None
-    return tuple(
-        sum(U[i][j] * y[j] for j in range(n)) for i in range(n)
-    )
+    return y
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:

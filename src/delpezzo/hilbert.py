@@ -21,8 +21,11 @@ from .errors import (
     ParseError,
 )
 from .exactalg import (
+    IntMatrix,
     RationalFunction,
+    _column_echelon,
     cyclotomic,
+    echelon_substitute,
     poly,
     poly_add,
     poly_content,
@@ -201,23 +204,20 @@ def hj_expansion(p: int, q: int) -> HJExpansion:
 def discrepancies(expansion: HJExpansion) -> list[Fraction]:
     """d_i from the adjunction system -b_i d_i + d_{i-1} + d_{i+1} = b_i - 2
     with d_0 = d_{m+1} = 0; all values lie in (-1, 0].
+
+    With r/a the target in lowest terms, d_i = (p_i + s_i)/r - 1, where
+    p = (r, a, ...) and s = (0, 1, ...) both obey x_{i+1} = b_i x_i - x_{i-1}.
+    So each equation holds and d_0 = 0; d_{m+1} = 0 as the expansion ends
+    at p_{m+1} = 0, and p_i s_{i+1} - p_{i+1} s_i = r with p_m = 1 gives
+    s_{m+1} = r.
     """
-    b = expansion.terms
-    m = len(b)
-    if m == 0:
-        return []
-    # tridiagonal solve by forward elimination
-    diag = [Fraction(-bi) for bi in b]
-    rhs = [Fraction(bi - 2) for bi in b]
-    for i in range(1, m):
-        f = 1 / diag[i - 1]
-        diag[i] -= f
-        rhs[i] -= f * rhs[i - 1]
-    d = [Fraction(0)] * m
-    d[m - 1] = rhs[m - 1] / diag[m - 1]
-    for i in range(m - 2, -1, -1):
-        d[i] = (rhs[i] - d[i + 1]) / diag[i]
-    return d
+    r = expansion.target.numerator
+    p, s = (r, expansion.target.denominator), (0, 1)
+    out = []
+    for b in expansion.terms:
+        out.append(Fraction(p[1] + s[1], r) - 1)
+        p, s = (p[1], b * p[1] - p[0]), (s[1], b * s[1] - s[0])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +227,7 @@ def degree_contribution(s: Singularity) -> Fraction:
     Here b_1..b_m is the Hirzebruch-Jung expansion of r/a, the chain of the
     minimal resolution (the reading r/(a+1) fails the T-singularity law
     A = d).  This closed form equals m + 1 - sum d_i^2 b_i
-    + 2 sum d_i d_{i+1} with d = discrepancies(...), without the solve.
+    + 2 sum d_i d_{i+1} with d = discrepancies(...), without forming d.
     """
     if s.is_smooth:
         return Fraction(0)
@@ -291,15 +291,17 @@ class _Frame:
                       for ell in candidates}
 
     @cached_property
-    def system(self) -> tuple[list, list]:
-        """(rows, bases): the integer matrix, a row per power of t, of columns
-        `degree` and t*b*parts[l] for each (l, b), b in the delta-lattice basis."""
+    def system(self) -> tuple[tuple, list]:
+        """(_column_echelon(M), bases) for the integer matrix M, a row per
+        power of t, of columns `degree` and t*b*parts[l] for each (l, b),
+        b in the delta-lattice basis."""
         from .quiver import delta_lattice  # deferred: quiver builds on this module
 
         bases = [(ell, b) for ell in self.parts for b in delta_lattice(ell).basis]
         cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
         nrows = max(map(len, cols))
-        return [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)], bases
+        rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
+        return _column_echelon(IntMatrix.from_rows(rows)), bases
 
 
 _frame = lru_cache(maxsize=None)(_Frame)
@@ -343,6 +345,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     H - 1/(1-t) = K^2 t/(1-t)^3 + sum_l N_l/(l(1-t^l)), with N_l in the
     delta-lattice at l, is one integer system with K^2 as one more unknown:
     L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
+    The frame keeps the column echelon form (A, U, pivots) of its matrix,
+    so a split is one forward substitution for y and then x = U y.
     """
     if H.den[0] == 0:
         raise NotASurfaceSeries("series has a pole at t=0")
@@ -356,12 +360,16 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     if rest:
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
     rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
-    rows, bases = frame.system
-    if len(rhs) > len(rows):
+    echelon, bases = frame.system
+    A, U, pivots = echelon
+    if len(rhs) > len(A):
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    solution = _gauss_solve_unique(rows, [*rhs, *[0] * (len(rows) - len(rhs))])
-    if solution is None:
+    y = echelon_substitute(echelon, [*rhs, *[0] * (len(A) - len(rhs))])
+    if y is None:
+        raise NotASurfaceSeries("series is not a sum of orbifold parts")
+    if len(pivots) < len(U):
         raise AmbiguousDecomposition("decomposition solver has a nontrivial nullspace")
+    solution = [sum([u * v for u, v in zip(row, y)]) for row in U]
     sums = {ell: [0] * (ell - 2) for ell in frame.parts}
     for (ell, g), x in zip(bases, solution[1:]):
         sums[ell] = [a + x * e for a, e in zip(sums[ell], g)]
@@ -371,7 +379,7 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
             raise NonIntegralDelta(f"non-integer delta at index {ell}")
         if any(acc):
             parts[ell] = DeltaVector(ell, tuple([int(x // c) for x in acc]))
-    return solution[0] / c, parts
+    return Fraction(solution[0], c), parts
 
 
 def _candidate_indices(den: Sequence) -> list[int]:
@@ -416,50 +424,6 @@ def _phi_sieve(bound: int) -> list[int]:
             for m in range(p, bound + 1, p):
                 phi[m] -= phi[m] // p
     return phi
-
-
-def _gauss_solve_unique(matrix, rhs):
-    """Solve an overdetermined integer system exactly; None if
-    underdetermined, NotASurfaceSeries if inconsistent.
-
-    Fraction-free forward elimination (after Bareiss, Sylvester's identity
-    and multistep integer-preserving Gaussian elimination, Math. Comp. 1968):
-    each update cross-multiplies with the pivot row and divides the new row
-    by its content.  Only the back-substitution forms Fractions, so a
-    non-integral solution comes out as one.
-    """
-    rows = [[*row, b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    rank_row = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank_row, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank_row], rows[piv] = rows[piv], rows[rank_row]
-        prow = rows[rank_row]
-        p = prow[c]
-        for i in range(rank_row + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                g = gcd(p, f)
-                s, f = p // g, f // g
-                row = [s * x - f * y for x, y in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        rank_row += 1
-    for i in range(rank_row, len(rows)):
-        if rows[i][ncols]:
-            raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    if len(pivots) < ncols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for i in range(rank_row - 1, -1, -1):
-        row = rows[i]
-        acc = row[ncols] - sum(row[j] * sol[j] for j in range(i + 1, ncols))
-        sol[i] = Fraction(acc) / row[i]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -328,16 +328,15 @@ def delta_lattice(ell: int) -> DeltaLattice:
 # cancelling tuples
 
 
-# the largest basket piece the meet-in-the-middle search takes on
-SIZE_CAP = 24
-
-
 def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     """A nonempty zero-Q sub-multiset of the basket, or None.
 
     Mixed-index baskets are tested per local-index piece, following the
-    same-index conjecture.  Meet-in-the-middle over delta partial sums;
-    pieces above SIZE_CAP raise CapacityExceeded.
+    same-index conjecture.  Meet-in-the-middle over delta partial sums:
+    each half keeps one subset per distinct partial sum, so it holds at
+    most prod_j (m_j + 1) sums, m_j the multiplicity of the j-th class in
+    that half, and the work grows with that product rather than with
+    2^(items).
     """
     from .singularity import basket_pieces
 
@@ -357,10 +356,6 @@ def _cancelling_single_index(piece: Basket) -> Optional[Basket]:
         return basket(trivial[:1])
     if not items:
         return None
-    if len(items) > SIZE_CAP:
-        raise CapacityExceeded(
-            f"basket piece of size {len(items)} exceeds cap {SIZE_CAP}"
-        )
     deltas = [orbifold_contribution(s).entries for s in items]
     half = len(items) // 2
     left = _subset_sums(deltas[:half])

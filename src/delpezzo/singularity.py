@@ -24,6 +24,9 @@ from .exactalg import cone_determinant
 
 Vec = tuple[int, int]
 
+# the text 1/r(1,a); only the ASCII digits 0-9 make a number
+SINGULARITY_TEXT = re.compile(r"1\s*/\s*([0-9]+)\s*\(\s*1\s*,\s*([0-9]+)\s*\)")
+
 
 @dataclass(frozen=True)
 class IntCone:
@@ -108,9 +111,7 @@ class Singularity:
 
     @staticmethod
     def parse(text: str) -> "Singularity":
-        m = re.fullmatch(
-            r"\s*1\s*/\s*(\d+)\s*\(\s*1\s*,\s*(\d+)\s*\)\s*", text
-        )
+        m = SINGULARITY_TEXT.fullmatch(text.strip())
         if not m:
             raise ParseError(f"cannot parse singularity {text!r}")
         r, a = int(m.group(1)), int(m.group(2))

@@ -5,10 +5,13 @@ Each golden value is also checked against the library directly so the
 CLI stays a thin adapter.
 """
 
+import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +24,7 @@ from delpezzo import (
     count_bound,
     degree_bounds,
     degree_contribution,
+    delta_lattice,
     enumerate_reduced_baskets,
     orbifold_contribution,
 )
@@ -99,6 +103,24 @@ class TestReduce:
         want = {tuple(str(s) for s in b) for b in res.baskets}
         assert got == want
 
+    def test_thirty_points_in_one_piece(self):
+        """delta = 10*(1,-2,1): ten 1/5(1,1) and 120 other baskets, of up to
+        30 points.  A box over the class multiplicities of each basket, which
+        shares no code with the enumerator, finds no nonempty zero-sum
+        sub-multiset."""
+        p = run("reduce", "5", "10,-20,10")
+        assert p.returncode == 0
+        assert p.stdout.splitlines()[0] == "count=121"
+        res = enumerate_reduced_baskets(5, DeltaVector(5, (10, -20, 10)))
+        assert len(res.baskets) == 121
+        assert max(map(len, res.baskets)) == 30
+        for b in res.baskets:
+            classes = Counter(s.iso_key() for s in b)
+            deltas = [orbifold_contribution(Singularity(*key)).entries for key in classes]
+            for mult in itertools.product(*[range(m + 1) for m in classes.values()]):
+                sums = [sum(k * d[i] for k, d in zip(mult, deltas)) for i in range(3)]
+                assert not any(mult) or any(sums), (b, mult)
+
     def test_domain_error_exits_one(self):
         p = run("reduce", "5", "1,0,0")
         assert p.returncode == 1
@@ -127,6 +149,16 @@ class TestAnalyze:
         want = f": {point} RK2={rk2} IK2=2 FEASIBLE"
         assert any(ln.endswith(want) for ln in p.stdout.splitlines())
 
+    def test_ten_points_at_five(self):
+        """Ten 1/5(1,1) with K^2 = 2: 121 choices, the first of 10 points."""
+        p = run("analyze", "(1 + 3*t - 6*t^2 + 14*t^3 - 6*t^4 + 3*t^5 + t^6)"
+                "/(1 - 2*t + t^2 - t^5 + 2*t^6 - t^7)")
+        lines = p.stdout.splitlines()
+        assert p.returncode == 0
+        assert lines[0] == "K2=2"
+        assert lines[1] == "choice 1: " + ", ".join(["1/5(1,1)"] * 10) + " RK2=2 IK2=8 FEASIBLE"
+        assert lines[121].startswith("choice 121: ") and lines[122] == "verdict=FEASIBLE"
+
     def test_plane_budget(self):
         p = run("analyze", "(1+7*t+t^2)/(1-t)^3")
         lines = p.stdout.splitlines()
@@ -151,6 +183,11 @@ class TestBoundsAndCounts:
         assert run("count-bound", "10", "5:2,1,2").stdout.strip() == "N=147"
         assert count_bound({5: DeltaVector(5, (2, 1, 2))}, 5) == 82
 
+    def test_count_bound_refuses_a_repeated_index(self):
+        p = run("count-bound", "5", "5:1,-2,1", "5:2,1,2")
+        assert p.returncode == 1
+        assert p.stderr.startswith("error: ParseError: local index 5 given twice")
+
 
 class TestSeriesAndResidue:
     def test_series_golden(self):
@@ -158,6 +195,12 @@ class TestSeriesAndResidue:
         lines = p.stdout.splitlines()
         assert lines[0] == "K2=13/5"
         assert lines[-1] == "terms=[1, 4, 9, 17]"
+
+    def test_basket_of_three_with_spaced_separators(self):
+        """Every `, ` between points is a separator, not only the ends."""
+        spaced = run("series", "--k2", "2", "{1/5(1,1), 1/5(1,1), 1/3(1,1)}")
+        assert spaced.returncode == 0
+        assert spaced.stdout == run("series", "--k2", "2", "1/5(1,1),1/5(1,1),1/3(1,1)").stdout
 
     def test_residue_golden(self):
         p = run("residue", "1/12(1,7)")
@@ -207,6 +250,10 @@ class TestExitCodes:
             ("analyze", "(1+t)/(t-t^2)"),
             ("analyze", "(1+t\u00b2)/(1-t)^3"),
             ("analyze", "(" * 400 + "t" + ")" * 400),
+            ("contrib", "1/\u0665(1,\u0661)"),  # Arabic-Indic 5 and 1
+            ("residue", "1/\u0665(1,\u0661)"),
+            ("contrib", "1/5(1,1)", "--terms", "-2"),
+            ("count-bound", "5", "5:1,-2,1", "5:2,1,2"),
         ],
         ids=lambda args: " ".join(args)[:40],
     )
@@ -302,3 +349,58 @@ def test_contrib_fuzz_exits_with_a_status(text):
 @given(st.one_of(st.text(), st.lists(_point_text, max_size=4).map(", ".join).map("{{{}}}".format)))
 def test_bounds_fuzz_exits_with_a_status(text):
     assert _status(["bounds", text]) in (0, 1, 2)
+
+
+# points with r <= 200: any pair of numbers, or a point 1/r(1,a) with hcf(r, a) = 1
+_small_point_text = st.one_of(
+    st.builds("1/{}(1,{})".format, st.integers(0, 200), st.integers(0, 200)),
+    st.builds(
+        lambda r, a: f"1/{r}(1,{a % r if gcd(r, a % r) == 1 else 1})",
+        st.integers(2, 200), st.integers(1, 200),
+    ),
+)
+_small_basket_text = st.lists(_small_point_text, max_size=4).map(", ".join).map("{{{}}}".format)
+_k2_text = st.one_of(
+    st.text(max_size=8),
+    st.fractions(-20, 20, max_denominator=30).map(str),
+)
+
+
+@_fuzz_settings
+@given(st.one_of(st.text(), _small_basket_text), _k2_text)
+def test_series_fuzz_exits_with_a_status(text, k2):
+    assert _status(["series", text, "--k2", k2, "--terms", "3"]) in (0, 1, 2)
+
+
+@_fuzz_settings
+@given(st.one_of(st.text(), _small_point_text))
+def test_residue_fuzz_exits_with_a_status(text):
+    assert _status(["residue", text]) in (0, 1, 2)
+
+
+def _lattice_text(ell, coeffs):
+    """l:entries for an integer combination of the delta-lattice generators."""
+    gens = delta_lattice(ell).generators
+    entries = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(ell - 2)]
+    return f"{ell}:" + ",".join(map(str, entries))
+
+
+def _palindrome_text(ell, entries):
+    half = entries[: (ell - 1) // 2]
+    return f"{ell}:" + ",".join(map(str, half + half[: ell - 2 - len(half)][::-1]))
+
+
+# per-index contributions with l <= 10 and entries in [-3, 3]: lattice
+# vectors, palindromes (most of them off the lattice), and any text
+_contribution = st.one_of(
+    st.builds(_lattice_text, st.integers(3, 10), st.lists(st.integers(-1, 1), min_size=6, max_size=6))
+    .filter(lambda text: all(abs(int(x)) <= 3 for x in text.split(":")[1].split(","))),
+    st.builds(_palindrome_text, st.integers(1, 10), st.lists(st.integers(-3, 3), min_size=4, max_size=4)),
+    st.text(max_size=12),
+)
+
+
+@_fuzz_settings
+@given(st.integers(-1, 12).map(str), st.lists(_contribution, min_size=1, max_size=3))
+def test_count_bound_fuzz_exits_with_a_status(ell_star, contributions):
+    assert _status(["count-bound", ell_star, *contributions]) in (0, 1, 2)

@@ -30,7 +30,7 @@ from delpezzo import (
     shatterings,
     split_series,
 )
-from delpezzo import exactalg, hilbert
+from delpezzo import exactalg, hilbert, quiver
 from delpezzo.errors import (
     AmbiguousDecomposition,
     DelPezzoError,
@@ -39,8 +39,11 @@ from delpezzo.errors import (
     ParseError,
 )
 from delpezzo.exactalg import (
+    IntMatrix,
     RationalFunction,
+    _column_echelon,
     cyclotomic,
+    echelon_substitute,
     poly,
     poly_content,
     poly_div_exact,
@@ -54,7 +57,6 @@ from delpezzo.hilbert import (
     _candidate_indices,
     _frame,
     _dedekind_totals,
-    _gauss_solve_unique,
     _periodic_quotient,
     basket_contributions,
     initial_term,
@@ -277,6 +279,20 @@ class TestDegreeContribution:
             d = discrepancies(hj_expansion(s.r, s.a))
             assert all(Fraction(-1) < x <= 0 for x in d)
 
+    def test_discrepancies_solve_the_adjunction_system(self):
+        """-b_i d_i + d_{i-1} + d_{i+1} = b_i - 2 with d_0 = d_{m+1} = 0,
+        checked by substitution for every 1/r(1,a) with r <= 150; the
+        system is negative definite, so this pins d."""
+        for r in range(2, 151):
+            for a in range(1, r):
+                if gcd(r, a) != 1:
+                    continue
+                b = hj_expansion(r, a).terms
+                d = [0, *discrepancies(hj_expansion(r, a)), 0]
+                assert len(d) == len(b) + 2
+                for i, bi in enumerate(b, start=1):
+                    assert -bi * d[i] + d[i - 1] + d[i + 1] == bi - 2, (r, a, i)
+
     def test_a_plus_a_inverse_is_one(self):
         for ell in range(3, 13):
             for s in residuals_of_index(ell):
@@ -453,7 +469,7 @@ def _split_by_remainder(H):
     cols = [poly_mul(poly([0, *g]), scaled[ell]) for ell, g in bases]
     nrows = max([len(rhs)] + [len(col) for col in cols])
     matrix = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
-    coeffs = _gauss_solve_unique(matrix, [rhs[i] if i < len(rhs) else 0 for i in range(nrows)])
+    coeffs = _gauss_solve_over_q(matrix, [rhs[i] if i < len(rhs) else 0 for i in range(nrows)])
     if coeffs is None:
         raise AmbiguousDecomposition("decomposition solver has a nontrivial nullspace")
     out = {}
@@ -556,6 +572,24 @@ class TestFrameOracle:
                 seen.add(got if isinstance(got, type) else "split")
         assert {"split", NonIntegralDelta} <= seen
 
+    def test_dependent_columns_raise_ambiguous(self, monkeypatch):
+        """No frame has dependent columns, so the split's check is reached
+        through a frame whose last column is given twice: the series still
+        solves, but not uniquely."""
+        hs = assemble_series(basket([Singularity(5, 1), Singularity(7, 1)]), Fraction(3))
+        frame = _frame(tuple(_candidate_indices(hs.series.den)))
+        _, bases = frame.system
+        cols = [frame.degree] + [poly_mul(frame.parts[ell], (0, *b)) for ell, b in bases]
+        cols.append(cols[-1])
+        nrows = max(map(len, cols))
+        rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
+        echelon = _column_echelon(IntMatrix.from_rows(rows))
+        monkeypatch.setitem(frame.__dict__, "system", (echelon, [*bases, bases[-1]]))
+        with pytest.raises(AmbiguousDecomposition):
+            split_series(hs.series)
+        monkeypatch.undo()
+        assert split_series(hs.series) == (Fraction(3), hs.orbifold_parts)
+
 
 class TestWorkPins:
     """Counted kernel calls, so that a regression in the work of the front
@@ -583,6 +617,20 @@ class TestWorkPins:
             gcds[0] = 0
             assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
             assert gcds[0] == 0
+            monkeypatch.undo()
+
+    def test_warm_split_runs_no_elimination(self, monkeypatch):
+        """The frame keeps the column echelon form of its matrix: the first
+        split over a frame eliminates once, every later one substitutes."""
+        b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(5, 2), Singularity(7, 1)])
+        hs = assemble_series(b, Fraction(7, 3))
+        _frame.cache_clear()
+        modules = (hilbert, exactalg, quiver)
+        for cold in (True, False):
+            calls = [self.counter(monkeypatch, module, "_column_echelon") for module in modules]
+            assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
+            assert calls[0][0] == cold and calls[1][0] == 0
+            assert cold or calls[2][0] == 0
             monkeypatch.undo()
 
     @pytest.mark.parametrize(
@@ -656,9 +704,25 @@ def _gauss_solve_over_q(matrix, rhs):
     return sol
 
 
+def _solve_by_echelon(matrix, rhs):
+    """The split's solve, with the oracle's conventions: _column_echelon,
+    then echelon_substitute for y and x = U y; NotASurfaceSeries when
+    inconsistent, None when the columns are dependent.  Every y found is
+    also checked to solve the system and to vanish off the pivot columns."""
+    echelon = _column_echelon(IntMatrix.from_rows(matrix))
+    _, U, pivots = echelon
+    y = echelon_substitute(echelon, rhs)
+    if y is None:
+        raise NotASurfaceSeries("series is not a sum of orbifold parts")
+    x = [sum(u * v for u, v in zip(row, y)) for row in U]
+    assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
+    assert not any(y[c] for c in set(range(len(U))) - {c for _, c in pivots})
+    return None if len(pivots) < len(U) else x
+
+
 class TestFractionFreeSolve:
-    """_gauss_solve_unique eliminates over Z; Gauss-Jordan over Q is its
-    oracle."""
+    """The split solves by forward substitution against the column echelon
+    form of its matrix; Gauss-Jordan over Q is its oracle."""
 
     def random_system(self, local, nrows, ncols, rank):
         """An nrows x ncols integer matrix of the given rank, with sparse
@@ -691,7 +755,7 @@ class TestFractionFreeSolve:
             if expected is None:
                 continue  # the drawn matrix lost rank
             assert expected == x
-            assert _gauss_solve_unique(matrix, rhs) == x
+            assert _solve_by_echelon(matrix, rhs) == x
             seen += 1
 
     def test_singular_systems_return_none(self):
@@ -704,7 +768,7 @@ class TestFractionFreeSolve:
             x = [local.randint(-9, 9) for _ in range(ncols)]
             rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
             assert _gauss_solve_over_q(matrix, rhs) is None
-            assert _gauss_solve_unique(matrix, rhs) is None
+            assert _solve_by_echelon(matrix, rhs) is None
 
     def test_inconsistent_systems_raise(self):
         local = random.Random(9393)
@@ -719,10 +783,10 @@ class TestFractionFreeSolve:
                 expected = _gauss_solve_over_q(matrix, rhs)
             except NotASurfaceSeries:
                 with pytest.raises(NotASurfaceSeries):
-                    _gauss_solve_unique(matrix, rhs)
+                    _solve_by_echelon(matrix, rhs)
                 raised += 1
             else:
-                assert _gauss_solve_unique(matrix, rhs) == expected
+                assert _solve_by_echelon(matrix, rhs) == expected
 
 
 class TestParser:
