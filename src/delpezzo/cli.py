@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -103,11 +104,23 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"cannot parse rational {text!r}") from exc
 
 
+# an integer argument: ASCII digits 0-9, a minus sign where negatives are valid
+INTEGER_TEXT = re.compile(r" *(-?)([0-9]+) *")
+
+
+def ascii_int(text: str, signed: bool) -> int:
+    """The integer spelled by text; ValueError for any other text."""
+    m = INTEGER_TEXT.fullmatch(text)
+    if not m or (m.group(1) and not signed):
+        raise ValueError(f"not an integer in the digits 0-9: {text!r}")
+    return int(m.group(1) + m.group(2))
+
+
 def int_at_least(low: int):
     """argparse type for integers >= low; other values are usage errors."""
 
     def integer(text: str) -> int:
-        value = int(text)
+        value = ascii_int(text, signed=low < 0)
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is less than {low}")
         return value
@@ -117,7 +130,7 @@ def int_at_least(low: int):
 
 def parse_delta_entries(text: str):
     try:
-        return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
+        return tuple(ascii_int(x, signed=True) for x in text.replace("(", "").replace(")", "").split(","))
     except ValueError as exc:
         raise ParseError(f"cannot parse delta-vector {text!r}") from exc
 
@@ -308,7 +321,7 @@ def cmd_count_bound(args) -> int:
             raise ParseError(f"expected ell:d1,d2,... in {item!r}")
         ell_text, entries_text = item.split(":", 1)
         try:
-            ell = int(ell_text)
+            ell = ascii_int(ell_text, signed=False)
         except ValueError as exc:
             raise ParseError(f"bad local index in {item!r}") from exc
         if ell in q:

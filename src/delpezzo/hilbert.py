@@ -115,52 +115,57 @@ def zero_delta(ell: int) -> DeltaVector:
     return DeltaVector(ell, (0,) * max(0, ell - 2))
 
 
-def _dedekind_totals(r: int, a: int) -> list[int]:
-    """T(i) = sum_j j*(u(i+j) mod r) for i = 0..r-1, where u = -a^-1 mod r,
-    so that dedekind_sum(r, a, i) = T(i)/r^2 - (r-1)^2/(4r).
-
-    One O(r) sum gives T(0); shifting j by one gives the O(1) step
-    T(i+1) = T(i) + r*(u*i mod r) - r(r-1)/2.
-    """
-    u = -pow(a, -1, r) % r
-    half = r * (r - 1) // 2
-    totals = [sum(j * (u * j % r) for j in range(r))]
-    for i in range(r - 1):
-        totals.append(totals[-1] + r * (u * i % r) - half)
-    return totals
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """F(n, m, a, b) = sum_{i<n} floor((a*i + b)/m) for m >= 1, a, b >= 0,
+    by the Euclid-like reduction that swaps (m, a): O(log m) rounds."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
 
 
-def _periodic_quotient(coeffs: Sequence[int], ell: int) -> list[int]:
-    """coeffs / (1 + t^l + ... + t^(n-l)) for n = len(coeffs), a multiple of l.
-
-    The quotient has degree below l, so the division is exact exactly when
-    the n coefficients are l-periodic, and the quotient is then the first l.
-    """
-    head = list(coeffs[:ell])
-    if any(x != head[k % ell] for k, x in enumerate(coeffs)):
-        raise RuntimeError(f"numerator is not {ell}-periodic: inexact division")
-    return head
+def _prefix_sums(r: int, u: int, ell: int) -> list[int]:
+    """S(j*g) for j = 0..l-1, where g = r/l and S(i) = sum_{i'<i} (u*i' mod r):
+    block j adds sum_{m<g} (u*m + c) mod r, c = g*(u*j mod l), which is
+    g*c + u*g(g-1)/2 - r*F(g, r, u, c), at most one floor sum per block."""
+    g = r // ell
+    base = u * g * (g - 1) // 2
+    sums = [0]
+    for j in range(ell - 1):
+        c = g * (u * j % ell)
+        # sum of floor((u*m + c)/r), zero when the largest term u(g-1) + c is below r
+        wraps = _floor_sum(g, r, u, c) if u * (g - 1) + c >= r else 0
+        sums.append(sums[-1] + g * c + base - r * wraps)
+    return sums
 
 
 @lru_cache(maxsize=None)
 def orbifold_contribution(s: Singularity) -> DeltaVector:
     """Delta-vector of Q_s; the zero vector exactly for T-singularities.
 
-    Coefficient k of the numerator of Q_s over 1 - t^r is
-    dedekind_sum(r, a, (a+1)(k+1)) - dedekind_sum(r, a, 0), i.e.
-    (T((a+1)(k+1)) - T(0))/r^2 with T from _dedekind_totals, so the whole
-    computation takes O(r) integer steps.
+    With u = -a^-1 mod r and S as in _prefix_sums, r^2 times coefficient k
+    of the numerator of Q_s over 1 - t^r is r*S(i) - i*r(r-1)/2 for
+    i = (a+1)(k+1) mod r, the difference of the Dedekind sums at i and 0.
+    As g = r/l divides a+1, i = g*j with j = ((a+1)/g)(k+1) mod l, so the
+    coefficients repeat with period l: the division by 1 + t^l + ... +
+    t^(r-l) keeps the first l, and only l prefix sums are needed.  The cost
+    is O(l log r) time and O(l) memory, in proportion to the delta.
     """
     ell = s.local_index
     if s.is_smooth:
         return zero_delta(ell)
     r, a = s.r, s.a
-    totals = _dedekind_totals(r, a)
-    # r^2 times the numerator over 1 - t^r, reduced to the l(1 - t^l) form
-    num = [totals[(a + 1) * (k + 1) % r] - totals[0] for k in range(r)]
+    if ell * (a + 1) % r:
+        raise RuntimeError(f"numerator of {s} is not {ell}-periodic: inexact division")
+    g, sums = r // ell, _prefix_sums(r, -pow(a, -1, r) % r, ell)
     full = []
-    for x in _periodic_quotient(num, ell):
-        q, rem = divmod(ell * x, r * r)
+    for k in range(1, ell + 1):
+        # l/r^2 times the coefficient: S(g*j)/g - j(r-1)/2
+        j = (a + 1) // g * k % ell
+        q, rem = divmod(2 * sums[j] - g * j * (r - 1), 2 * g)
         if rem:
             raise RuntimeError(f"non-integral delta for {s}")
         full.append(q)
@@ -368,7 +373,11 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     if y is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
     if len(pivots) < len(U):
-        raise AmbiguousDecomposition("decomposition solver has a nontrivial nullspace")
+        kernel = [row[len(pivots)] for row in U]  # U's first non-pivot column
+        named = [f"l={ell}:{tuple([x for (e, _), x in zip(bases, kernel[1:]) if e == ell])}"
+                 for ell in frame.parts]
+        raise AmbiguousDecomposition(f"decomposition solver has a nontrivial nullspace: "
+                                     f"kernel vector K^2={kernel[0]}, {', '.join(named)}")
     solution = [sum([u * v for u, v in zip(row, y)]) for row in U]
     sums = {ell: [0] * (ell - 2) for ell in frame.parts}
     for (ell, g), x in zip(bases, solution[1:]):
@@ -396,11 +405,10 @@ def _candidate_indices(den: Sequence) -> list[int]:
     den = poly_primitive(poly(den))
     if abs(den[0]) != 1 or abs(den[-1]) != 1:
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
-    # phi(n) >= sqrt(n/2), so phi(n) <= deg needs n <= 2 deg^2
-    bound = 2 * (len(den) - 1) ** 2 + 1
+    bound = _scan_bound(len(den) - 1)
     phi = _phi_sieve(bound)
     orders = []
-    for n in range(1, bound + 1):
+    for n in range(1, bound):
         if len(den) == 1:
             break
         if phi[n] >= len(den):
@@ -414,6 +422,16 @@ def _candidate_indices(den: Sequence) -> list[int]:
     if len(den) != 1:
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
     return list(_divisor_closure(orders))
+
+
+def _scan_bound(d: int) -> int:
+    """d*b > every n with phi(n) <= d, for b the least bit length with
+    2^(b-1) >= d*(b+1): the i-th prime factor of n is at least i+1, so
+    n/phi(n) <= log2(n) + 1 and n < d*(n.bit_length() + 1) < d*b."""
+    b = 1
+    while 1 << (b - 1) < d * (b + 1):
+        b += 1
+    return d * b
 
 
 def _phi_sieve(bound: int) -> list[int]:

@@ -17,6 +17,7 @@ from .singularity import (
     Basket,
     Singularity,
     basket,
+    continuation,
     hyperplane_sum,
     hyperplane_sum_chain,
     maximal_shatter,
@@ -69,17 +70,16 @@ def residual_quiver(ell: int) -> ResidualQuiver:
     if ell < 3:
         return ResidualQuiver(ell, ())
     by_slope = _indec_by_slope(ell)
+    members = set(by_slope.values())
+    widths = sorted({v.width for v in members})
     start = Singularity(ell, 1) if ell % 2 else Singularity(2 * ell, 1)
-    if start not in by_slope.values():
+    if start not in members:
         raise RuntimeError(f"start vertex {start} is not indecomposable")
     order = [start]
     current = start
     for _ in range(len(by_slope) - 1):
-        nxt = [
-            cand
-            for cand in by_slope.values()
-            if hyperplane_sum(current, cand) is not None
-        ]
+        # the successor v is the continuation of current of v's width
+        nxt = [v for w in widths if (v := continuation(current, w)) in members]
         if len(nxt) != 1:
             raise RuntimeError(f"non-unique successor at {current}")
         order.append(nxt[0])

@@ -237,30 +237,30 @@ def residue(s: Singularity) -> tuple[Optional[Singularity], list[Classification]
 # hyperplane sum and friends
 
 
+def continuation(s: Singularity, width: int) -> Optional[Singularity]:
+    """With s realized as Cone(e2, e2 + k*(l,-c)), the normal form of
+    Cone(e2 + k*(l,-c), e2 + (k+width)*(l,-c)), or None when a ray of it
+    is not primitive."""
+    ell, k, c = s.invariants()
+    try:
+        return _normalize_pair((k * ell, 1 - k * c), ((k + width) * ell, 1 - (k + width) * c))
+    except DegenerateCone:
+        return None
+
+
 def hyperplane_sum(s1: Singularity, s2: Singularity) -> Optional[Singularity]:
     """The gluing s1 * s2, or None when undefined.
 
-    Realize s1 as Cone(e2, e2 + k1*(l,-c1)); the sum is defined when the
-    continuation cone of width k2 along the same edge line normalizes to s2
-    and all ray endpoints are primitive.  Noncommutative.
+    The sum is defined when the continuation of s1 of width k2 normalizes
+    to s2; it is then Cone(e2, e2 + (k1+k2)*(l,-c1)).  Noncommutative.
     """
     if s1.is_smooth or s2.is_smooth:
         return None
     ell, k1, c1 = s1.invariants()
     ell2, k2, _ = s2.invariants()
-    if ell != ell2 or ell < 2:
+    if ell != ell2 or ell < 2 or continuation(s1, k2) != s2:
         return None
-    mid = (k1 * ell, 1 - k1 * c1)
-    end = ((k1 + k2) * ell, 1 - (k1 + k2) * c1)
-    if gcd(end[0], end[1]) != 1:
-        return None
-    try:
-        continuation = _normalize_pair(mid, end)
-    except DegenerateCone:
-        return None
-    if continuation != s2:
-        return None
-    return _normalize_pair((0, 1), end)
+    return _normalize_pair((0, 1), ((k1 + k2) * ell, 1 - (k1 + k2) * c1))
 
 
 def hyperplane_sum_chain(parts: Sequence[Singularity]) -> Optional[Singularity]:

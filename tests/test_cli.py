@@ -254,6 +254,12 @@ class TestExitCodes:
             ("residue", "1/\u0665(1,\u0661)"),
             ("contrib", "1/5(1,1)", "--terms", "-2"),
             ("count-bound", "5", "5:1,-2,1", "5:2,1,2"),
+            # integer arguments take only the ASCII digits 0-9
+            ("quiver", "\u0665"),
+            ("reduce", "5", "\u0662,\u0661,\u0662"),
+            ("reduce", "5", "2,1_0,2"),
+            ("count-bound", "\u0665", "\u0665:\u0662,\u0661,\u0662"),
+            ("count-bound", "5", "\u0665:2,1,2"),
         ],
         ids=lambda args: " ".join(args)[:40],
     )

@@ -9,6 +9,7 @@ modulo 1 + t + ... + t^(r-1).
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -55,9 +56,10 @@ from delpezzo.exactalg import (
 )
 from delpezzo.hilbert import (
     _candidate_indices,
+    _floor_sum,
     _frame,
-    _dedekind_totals,
-    _periodic_quotient,
+    _phi_sieve,
+    _scan_bound,
     basket_contributions,
     initial_term,
     zero_delta,
@@ -179,9 +181,49 @@ def _contribution_by_division(s):
     return DeltaVector(ell, tuple(int(x) for x in full[1 : ell - 1]))
 
 
+def _dedekind_totals(r, a):
+    """T(i) = sum_j j*(u(i+j) mod r) for i = 0..r-1, where u = -a^-1 mod r,
+    so that dedekind_sum(r, a, i) = T(i)/r^2 - (r-1)^2/(4r).  The O(r)
+    kernel that the floor-sum prefix sums replaced, kept as their oracle:
+    one O(r) sum gives T(0), and T(i+1) = T(i) + r*(u*i mod r) - r(r-1)/2.
+    """
+    u = -pow(a, -1, r) % r
+    half = r * (r - 1) // 2
+    totals = [sum(j * (u * j % r) for j in range(r))]
+    for i in range(r - 1):
+        totals.append(totals[-1] + r * (u * i % r) - half)
+    return totals
+
+
+def _periodic_quotient(coeffs, ell):
+    """coeffs / (1 + t^l + ... + t^(n-l)) for n = len(coeffs), a multiple of
+    l: exact exactly when the coefficients are l-periodic, and the quotient
+    is then the first l."""
+    head = list(coeffs[:ell])
+    if any(x != head[k % ell] for k, x in enumerate(coeffs)):
+        raise RuntimeError(f"numerator is not {ell}-periodic: inexact division")
+    return head
+
+
+def _contribution_by_totals(s):
+    """The O(r) delta-vector: the r totals give r^2 times the numerator over
+    1 - t^r, and the periodic quotient divides it down to l(1 - t^l)."""
+    ell, r, a = s.local_index, s.r, s.a
+    totals = _dedekind_totals(r, a)
+    num = [totals[(a + 1) * (k + 1) % r] - totals[0] for k in range(r)]
+    full = []
+    for x in _periodic_quotient(num, ell):
+        q, rem = divmod(ell * x, r * r)
+        assert not rem
+        full.append(q)
+    assert full[0] == full[-1] == 0
+    return DeltaVector(ell, tuple(full[1:-1]))
+
+
 class TestIntegerKernel:
-    """orbifold_contribution uses the O(r) totals recurrence; the Dedekind
-    sums and the long division over Q are its oracle."""
+    """orbifold_contribution uses l floor-sum prefix sums; the O(r) totals
+    recurrence, the Dedekind sums and the long division over Q are its
+    oracles."""
 
     def test_totals_recurrence_matches_dedekind_sums(self):
         for r in (2, 3, 12, 35, 97):
@@ -194,6 +236,30 @@ class TestIntegerKernel:
                     assert Fraction(t, r * r) - Fraction((r - 1) ** 2, 4 * r) == (
                         dedekind_sum(r, a, i)
                     ), (r, a, i)
+
+    def test_floor_sum_matches_the_direct_sum(self):
+        local = random.Random(99)
+        for _ in range(2000):
+            n, m = local.randint(0, 60), local.randint(1, 80)
+            a, b = local.randint(0, 200), local.randint(0, 200)
+            assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    def test_agrees_with_totals_for_every_point_up_to_200(self):
+        for r in range(2, 201):
+            for a in range(1, r):
+                if gcd(r, a) == 1:
+                    s = Singularity(r, a)
+                    assert orbifold_contribution.__wrapped__(s) == _contribution_by_totals(s), s
+
+    def test_agrees_with_totals_at_random_orders_up_to_5000(self):
+        local = random.Random(8128)
+        for _ in range(300):
+            r = local.randint(2, 5000)
+            a = local.randrange(1, r)
+            while gcd(r, a) != 1:
+                a = local.randrange(1, r)
+            s = Singularity(r, a)
+            assert orbifold_contribution.__wrapped__(s) == _contribution_by_totals(s), s
 
     def test_agrees_with_division_on_random_points(self):
         local = random.Random(4711)
@@ -229,21 +295,22 @@ class TestIntegerKernel:
     @pytest.mark.parametrize(
         "bump,message",
         [
-            # +1 on every total but T(0): l*(x+1)/r^2 is no integer
-            (lambda t: [t[0]] + [x + 1 for x in t[1:]], "non-integral"),
-            # +r^2 at T(a+1) raises delta_0 by l
-            (lambda t: t[:2] + [t[2] + 25] + t[3:], "ends"),
-            # +r^2 at T(2(a+1)) raises delta_1 but not delta_3
-            (lambda t: t[:4] + [t[4] + 25], "palindromic"),
+            # +1 on every S(jg) but S(0): delta_k moves by 1/g = 1/2
+            (lambda S: [S[0]] + [x + 1 for x in S[1:]], "non-integral"),
+            # +g at S(g*j_0), j_0 = (a+1)/g = 1, raises delta_0 by 1
+            (lambda S: S[:1] + [S[1] + 2] + S[2:], "ends"),
+            # +g at S(g*j_1), j_1 = 2, raises delta_1 but not delta_3
+            (lambda S: S[:2] + [S[2] + 2] + S[3:], "palindromic"),
         ],
         ids=["integral", "ends", "palindrome"],
     )
     def test_soundness_checks_raise(self, monkeypatch, bump, message):
-        """A corrupted totals list is caught by an explicit raise, which
-        also runs under python -O."""
-        s = Singularity(5, 1)
-        totals = _dedekind_totals(5, 1)
-        monkeypatch.setattr(hilbert, "_dedekind_totals", lambda r, a: bump(totals))
+        """Corrupted prefix sums are caught by an explicit raise, which also
+        runs under python -O.  1/10(1,1) has l = 5 and width g = 2."""
+        s = Singularity(10, 1)
+        sums = hilbert._prefix_sums(10, 9, 5)  # u = -1^-1 mod 10 = 9
+        assert orbifold_contribution.__wrapped__(s).entries == (3, 4, 3)
+        monkeypatch.setattr(hilbert, "_prefix_sums", lambda r, u, ell: bump(sums))
         with pytest.raises(RuntimeError, match=message):
             orbifold_contribution.__wrapped__(s)
 
@@ -585,8 +652,17 @@ class TestFrameOracle:
         rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
         echelon = _column_echelon(IntMatrix.from_rows(rows))
         monkeypatch.setitem(frame.__dict__, "system", (echelon, [*bases, bases[-1]]))
-        with pytest.raises(AmbiguousDecomposition):
+        with pytest.raises(AmbiguousDecomposition) as info:
             split_series(hs.series)
+        # the message names a kernel vector: K^2, then basis coefficients per l
+        k2 = re.search(r"K\^2=(-?\d+)", str(info.value))
+        per_index = dict(re.findall(r"l=(\d+):\(([-\d, ]*)\)", str(info.value)))
+        assert sorted(map(int, per_index)) == sorted(frame.parts)
+        kernel = [int(k2.group(1))]
+        for ell in frame.parts:
+            kernel += [int(x) for x in per_index[str(ell)].split(",") if x.strip()]
+        assert len(kernel) == len(cols) and any(kernel)
+        assert not any(sum(x * r for x, r in zip(kernel, row)) for row in rows)
         monkeypatch.undo()
         assert split_series(hs.series) == (Fraction(3), hs.orbifold_parts)
 
@@ -634,6 +710,24 @@ class TestWorkPins:
             monkeypatch.undo()
 
     @pytest.mark.parametrize(
+        "r,a,ell", [(1_000_000, 499_999, 2), (700_000, 199_999, 7), (3_003_000, 14_999, 1001)]
+    )
+    def test_delta_costs_l_floor_sums_and_no_list_of_length_r(self, monkeypatch, r, a, ell):
+        """O(l log r) time and O(l) memory: at most l - 1 floor sums, and
+        a peak allocation of at most a kilobyte per unit of l, below one
+        byte per unit of r (a list of length r takes eight)."""
+        s = Singularity(r, a)
+        assert s.local_index == ell
+        calls = self.counter(monkeypatch, hilbert, "_floor_sum")
+        tracemalloc.start()
+        dv = orbifold_contribution.__wrapped__(s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert calls[0] <= s.local_index - 1
+        assert peak < min(r, 1024 * ell), peak
+        assert dv.is_palindromic() and dv.local_index == s.local_index
+
+    @pytest.mark.parametrize(
         "text, most",
         [("t^500", 0), ("(3*t^2)^500", 2), ("(1+t)^500", 2 * 9), ("(1-t)^500/(1+t)^3", 2 * 9 + 2 * 2 + 1)],
     )
@@ -659,9 +753,22 @@ class TestCandidateIndices:
         with pytest.raises(NotASurfaceSeries):
             _candidate_indices(poly_mul(cyclotomic(7), den))
 
+    def test_scan_bound_holds_for_every_degree_up_to_600(self):
+        """Every n with phi(n) <= d lies below _scan_bound(d); phi(n) >=
+        sqrt(n/2) puts every such n at most 2*600^2, where the sieve ends."""
+        phi = _phi_sieve(2 * 600**2)
+        largest = [0] * 601  # largest[d]: the largest n with phi(n) = d
+        for n in range(1, len(phi)):
+            if phi[n] <= 600:
+                largest[phi[n]] = n
+        for d in range(1, 601):
+            largest[d] = max(largest[d], largest[d - 1])
+            assert largest[d] < _scan_bound(d), d
+        assert (_scan_bound(40), _scan_bound(2000)) == (400, 34_000)
+
     def test_lehmer_cubed_raises_quickly(self):
         """Lehmer's polynomial has unit end coefficients and no cyclotomic
-        factor; only the phi(n) <= degree skip keeps the scan up to n = 1801
+        factor; only the phi(n) <= degree skip keeps the scan up to n = 300
         from building every Phi_n."""
         lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
         den = poly_mul(lehmer, poly_mul(lehmer, lehmer))

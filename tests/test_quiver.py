@@ -33,7 +33,7 @@ from delpezzo.exactalg import (
     poly_divmod,
 )
 from delpezzo.hilbert import zero_delta
-from delpezzo.quiver import elementary_t, hyperplane_sum_chain
+from delpezzo.quiver import _indec_by_slope, elementary_t, hyperplane_sum_chain
 
 rng = random.Random(20260824)
 
@@ -65,7 +65,25 @@ class TestIndecomposables:
                 assert maximal_shatter(s) == [s]
 
 
+def _quiver_by_scan(ell):
+    """The O(phi^2) successor search that the continuation lookup replaced,
+    kept as its oracle: from the start vertex, the successor is the one
+    indecomposable v with hyperplane_sum(current, v) defined."""
+    verts = list(_indec_by_slope(ell).values())
+    order = [Singularity(ell, 1) if ell % 2 else Singularity(2 * ell, 1)]
+    while len(order) < len(verts):
+        nxt = [v for v in verts if hyperplane_sum(order[-1], v) is not None]
+        assert len(nxt) == 1, (ell, order[-1], nxt)
+        order.append(nxt[0])
+    assert hyperplane_sum(order[-1], order[0]) is not None
+    return tuple(order)
+
+
 class TestResidualQuiver:
+    def test_matches_the_successor_scan_up_to_120(self):
+        for ell in range(3, 121):
+            assert residual_quiver(ell).vertices == _quiver_by_scan(ell), ell
+
     def test_pinned_cycle_at_five(self):
         q = residual_quiver(5)
         assert q.vertices == (
