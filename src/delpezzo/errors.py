@@ -9,10 +9,6 @@ class DelPezzoError(Exception):
     """Base class for all domain errors."""
 
 
-class NotCoprime(DelPezzoError):
-    """Polynomials share a nontrivial common factor."""
-
-
 class DegenerateCone(DelPezzoError):
     """Cone rays are linearly dependent."""
 

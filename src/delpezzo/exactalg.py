@@ -1,11 +1,12 @@
 """Exact arithmetic kernels: dense polynomials over Q, rational functions in t,
-and integer linear algebra via Hermite normal form.
+and integer linear algebra via a column echelon form.
 
 Polynomials are tuples of coefficients indexed by degree, with no trailing
 zeros; the zero polynomial is the empty tuple.  Coefficients are ints or
 Fractions; operations never touch floats.  The kernels build tuples from
 lists: tuple() of a generator allocates ten slots and resizes, so the tuples
 it frees pile up in CPython's per-size free lists and raise peak memory.
+An integer matrix is the list of its columns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd
 from operator import le
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityExceeded, DegenerateCone, NotCoprime
+from .errors import CapacityExceeded, DegenerateCone
 
 Poly = tuple  # coefficient tuple, lowest degree first
 
@@ -145,12 +146,6 @@ def poly_gcd_primitive(a: Poly, b: Poly) -> Poly:
     return poly_neg(a) if a and a[-1] < 0 else a
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q."""
-    g = poly_gcd_primitive(poly_to_int(a)[0], poly_to_int(b)[0])
-    return tuple(Fraction(x, g[-1]) for x in g)
-
-
 def poly_eval(a: Poly, x):
     out = 0
     for c in reversed(a):
@@ -173,26 +168,6 @@ def poly_to_int(a: Poly) -> tuple[Poly, int]:
         if isinstance(x, Fraction):
             denom = denom * x.denominator // gcd(denom, x.denominator)
     return tuple([int(x * denom) for x in a]), denom
-
-
-def poly_inverse_mod(f: Poly, h: Poly) -> Poly:
-    """u with f*u = 1 (mod h), deg u < deg h, over Q.
-
-    Raises NotCoprime when gcd(f, h) != 1.
-    """
-    if len(h) < 2:
-        raise ValueError("modulus must have degree >= 1")
-    # extended Euclid over Q[x]
-    r0, r1 = h, f
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-    if len(r0) != 1:
-        raise NotCoprime("polynomials are not coprime")
-    inv = poly_scale(s0, Fraction(1, 1) / Fraction(r0[0]))
-    return poly_divmod(inv, h)[1]
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +237,6 @@ class RationalFunction:
             poly_mul(self.num, other.num), poly_mul(self.den, other.den)
         )
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_mul(self.num, other.den), poly_mul(self.den, other.num)
-        )
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -308,103 +278,50 @@ class RationalFunction:
 # integer linear algebra
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Row-major integer matrix."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
-        return IntMatrix(r, c, tuple(flat))
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not cols:
-            return IntMatrix(0, 0, ())
-        return IntMatrix.from_rows(list(zip(*cols)))
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def apply(self, x: Sequence[int]) -> tuple:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum(self.entries[i * self.cols + j] * x[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
-
-def _column_echelon(M: IntMatrix) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+def _column_echelon(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
     """Integer column echelon form via unimodular column operations.
 
-    Returns (A, U, pivots) with A = M @ U, U unimodular, and pivots a list of
-    (row, col) positions of the echelon pivots.
+    cols is the matrix M as the list of its columns, all of one length.
+    Returns (A, U, pivots) with A = M U, U unimodular, both as lists of
+    columns, and pivots a list of (row, col) positions of the echelon
+    pivots.
     """
-    A = [list(M.row(i)) for i in range(M.rows)]
-    n = M.cols
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_addmul(dst: int, src: int, s: int) -> None:
-        for i in range(M.rows):
-            A[i][dst] += s * A[i][src]
-        for i in range(n):
-            U[i][dst] += s * U[i][src]
-
-    def col_swap(a: int, b: int) -> None:
-        for i in range(M.rows):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(n):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    def col_negate(c: int) -> None:
-        for i in range(M.rows):
-            A[i][c] = -A[i][c]
-        for i in range(n):
-            U[i][c] = -U[i][c]
-
+    A = [list(col) for col in cols]
+    n = len(A)
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     pivots: list[tuple[int, int]] = []
     pc = 0
-    for r in range(M.rows):
+    for r in range(len(A[0]) if A else 0):
         if pc >= n:
             break
         # reduce columns pc..n-1 so only column pc has a nonzero entry in row r
         while True:
-            nz = [j for j in range(pc, n) if A[r][j] != 0]
+            nz = [j for j in range(pc, n) if A[j][r]]
             if not nz:
                 break
             if len(nz) == 1:
-                if nz[0] != pc:
-                    col_swap(pc, nz[0])
+                j = nz[0]
+                A[pc], A[j], U[pc], U[j] = A[j], A[pc], U[j], U[pc]
                 break
-            nz.sort(key=lambda j: abs(A[r][j]))
-            small = nz[0]
+            nz.sort(key=lambda j: abs(A[j][r]))
+            a, u = A[nz[0]], U[nz[0]]
             for j in nz[1:]:
-                col_addmul(j, small, -(A[r][j] // A[r][small]))
-        if A[r][pc] != 0:
-            if A[r][pc] < 0:
-                col_negate(pc)
+                q = A[j][r] // a[r]
+                A[j] = [x - q * y for x, y in zip(A[j], a)]
+                U[j] = [x - q * y for x, y in zip(U[j], u)]
+        if A[pc][r]:
+            if A[pc][r] < 0:
+                A[pc], U[pc] = [-x for x in A[pc]], [-x for x in U[pc]]
             pivots.append((r, pc))
             pc += 1
     return A, U, pivots
 
 
-def int_kernel(M: IntMatrix) -> list[tuple]:
-    """Basis of the integer kernel lattice {x : Mx = 0}; [] when trivial."""
-    _, U, pivots = _column_echelon(M)
-    n = M.cols
-    free = range(len(pivots), n)
-    return [tuple([U[i][j] for i in range(n)]) for j in free]
+def int_kernel(cols: Sequence[Sequence[int]]) -> list[tuple]:
+    """Basis of the integer kernel lattice {x : Mx = 0} of the matrix with
+    these columns; [] when trivial."""
+    _, U, pivots = _column_echelon(cols)
+    return [tuple(u) for u in U[len(pivots):]]
 
 
 def signed(v: tuple) -> tuple:
@@ -439,13 +356,14 @@ def normal_form(v: tuple, elems: Sequence[tuple]) -> tuple:
     return s
 
 
-def graver_completion(M: IntMatrix, node_cap: Optional[int] = None) -> tuple[list, int]:
-    """(Graver basis of the integer kernel {x : Mx = 0}, pairs reduced).
+def graver_completion(basis: Sequence[tuple], node_cap: Optional[int] = None) -> tuple[list, int]:
+    """(Graver basis of the lattice L spanned by basis, pairs reduced).
 
-    The basis holds g and -g, each as signed(g).  Its elements are the
-    nonzero kernel vectors minimal under the conformal order ⊑.  Pottier's
-    completion (The Euclidean algorithm in dimension n, ISSAC 1996) starts
-    from the int_kernel basis and its negatives, reduces the sum of each
+    The Graver basis holds g and -g, each as signed(g).  Its elements are
+    the nonzero vectors of L minimal under the conformal order ⊑; for the
+    integer kernel of M, pass int_kernel(M).  Pottier's completion (The
+    Euclidean algorithm in dimension n, ISSAC 1996) starts from any
+    lattice basis and its negatives, reduces the sum of each
     pair that is not conformal by subtracting elements that lie under it,
     and adds a nonzero remainder to the set; a last pass keeps the
     ⊑-minimal elements.  Each reduced pair is one step against node_cap;
@@ -458,7 +376,7 @@ def graver_completion(M: IntMatrix, node_cap: Optional[int] = None) -> tuple[lis
         )
 
     elems = []
-    for b in int_kernel(M):
+    for b in basis:
         elems += [signed(b), signed(tuple([-x for x in b]))]
     steps = k = 0
     # f runs over the even positions only: the pairs of -f are the
@@ -479,14 +397,6 @@ def graver_completion(M: IntMatrix, node_cap: Optional[int] = None) -> tuple[lis
                 elems += [r, signed(tuple([-x for x in r[0]]))]
         k += 2
     return [v for v in elems if not any(g is not v and under(g, v) for g in elems)], steps
-
-
-def graver_basis(M: IntMatrix, node_cap: Optional[int] = None) -> list[tuple]:
-    """Graver basis of the integer kernel {x : Mx = 0}; g and -g both appear.
-
-    See graver_completion, which also returns the sign masks and the work.
-    """
-    return [v[0] for v in graver_completion(M, node_cap)[0]]
 
 
 def graver_fiber(
@@ -534,24 +444,28 @@ def graver_fiber(
     return [v[0] for v in fiber], steps - spent
 
 
-def int_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """Some integer x with Mx = b, or None when no integer solution exists."""
-    if len(b) != M.rows:
+def int_solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple]:
+    """Some integer x with Mx = b for the matrix M with these columns, or
+    None when no integer solution exists."""
+    if cols and len(cols[0]) != len(b):
         raise ValueError("dimension mismatch")
-    return echelon_solve(_column_echelon(M), b)
+    return echelon_solve(_column_echelon(cols), b)
 
 
 def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple]:
     """int_solve against (A, U, pivots) = _column_echelon(M).
 
     U is unimodular, so an integer x = U y with Mx = b exists exactly when
-    the y of echelon_substitute is integral.
+    the y of echelon_substitute is integral; x is a sum of columns of U.
     """
     y = echelon_substitute(echelon, b)
     if y is None or any(v.denominator != 1 for v in y):
         return None
-    U = echelon[1]
-    return tuple([sum([u * int(v) for u, v in zip(row, y)]) for row in U])
+    x = [0] * len(y)
+    for u, v in zip(echelon[1], y):
+        if v:
+            x = [a + int(v) * c for a, c in zip(x, u)]
+    return tuple(x)
 
 
 def echelon_substitute(echelon: tuple, b: Sequence) -> Optional[list]:
@@ -559,28 +473,29 @@ def echelon_substitute(echelon: tuple, b: Sequence) -> Optional[list]:
     (A, U, pivots) = _column_echelon(M); None when A y = b, and so M x = b,
     is inconsistent.
 
-    Forward substitution: a pivot column is zero above its pivot row, and a
-    row without a pivot is zero right of the pivots before it, so each
-    pivot row fixes its y and each other row must have no residue left.
-    y stays in ints while every pivot divides its residue.
+    Forward substitution over the rows of b, one per row of M: a pivot
+    column is zero above its pivot row, and a row without a pivot is zero
+    right of the pivots before it, so each pivot row fixes its y and each
+    other row must have no residue left.  y stays in ints while every
+    pivot divides its residue.
     """
     A, U, pivots = echelon
     y = [0] * len(U)
     resid = list(b)
     pos = dict(pivots)
-    for r in range(len(A)):
+    for r in range(len(resid)):
         c = pos.get(r)
         if c is None:
             if resid[r]:
                 return None
             continue
-        p = A[r][c]
-        q, rest = divmod(resid[r], p)
-        y[c] = t = Fraction(resid[r], p) if rest else q
+        col = A[c]
+        q, rest = divmod(resid[r], col[r])
+        y[c] = t = Fraction(resid[r], col[r]) if rest else q
         if t:
-            for i in range(r + 1, len(A)):
-                if A[i][c]:
-                    resid[i] -= t * A[i][c]
+            for i in range(r + 1, len(resid)):
+                if col[i]:
+                    resid[i] -= t * col[i]
     return y
 
 

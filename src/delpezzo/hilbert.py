@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
 )
 from .exactalg import (
-    IntMatrix,
     RationalFunction,
     _column_echelon,
     cyclotomic,
@@ -269,12 +268,6 @@ class HilbertSeries:
         return self.series.series_coefficients(count)
 
 
-def initial_term(k_squared: Fraction) -> RationalFunction:
-    """(1 + (K^2 - 2) t + t^2) / (1 - t)^3 with exact rational K^2."""
-    p, q = Fraction(k_squared).as_integer_ratio()
-    return RationalFunction.make((q, p - 2 * q, q), (q, -3 * q, 3 * q, -q))
-
-
 class _Frame:
     """The common denominator of the series system over candidate indices.
 
@@ -305,8 +298,7 @@ class _Frame:
         bases = [(ell, b) for ell in self.parts for b in delta_lattice(ell).basis]
         cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
         nrows = max(map(len, cols))
-        rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
-        return _column_echelon(IntMatrix.from_rows(rows)), bases
+        return _column_echelon([[*col, *[0] * (nrows - len(col))] for col in cols]), bases
 
 
 _frame = lru_cache(maxsize=None)(_Frame)
@@ -351,7 +343,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     delta-lattice at l, is one integer system with K^2 as one more unknown:
     L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
     The frame keeps the column echelon form (A, U, pivots) of its matrix,
-    so a split is one forward substitution for y and then x = U y.
+    so a split is one forward substitution for y and then x = U y, a sum of
+    the columns of U.
     """
     if H.den[0] == 0:
         raise NotASurfaceSeries("series has a pole at t=0")
@@ -367,18 +360,22 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
     echelon, bases = frame.system
     A, U, pivots = echelon
-    if len(rhs) > len(A):
+    nrows = len(A[0])  # the frame always has its `degree` column
+    if len(rhs) > nrows:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    y = echelon_substitute(echelon, [*rhs, *[0] * (len(A) - len(rhs))])
+    y = echelon_substitute(echelon, [*rhs, *[0] * (nrows - len(rhs))])
     if y is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
     if len(pivots) < len(U):
-        kernel = [row[len(pivots)] for row in U]  # U's first non-pivot column
+        kernel = U[len(pivots)]  # U's first non-pivot column
         named = [f"l={ell}:{tuple([x for (e, _), x in zip(bases, kernel[1:]) if e == ell])}"
                  for ell in frame.parts]
         raise AmbiguousDecomposition(f"decomposition solver has a nontrivial nullspace: "
                                      f"kernel vector K^2={kernel[0]}, {', '.join(named)}")
-    solution = [sum([u * v for u, v in zip(row, y)]) for row in U]
+    solution = [0] * len(U)
+    for u, v in zip(U, y):
+        if v:
+            solution = [a + v * x for a, x in zip(solution, u)]
     sums = {ell: [0] * (ell - 2) for ell in frame.parts}
     for (ell, g), x in zip(bases, solution[1:]):
         sums[ell] = [a + x * e for a, e in zip(sums[ell], g)]

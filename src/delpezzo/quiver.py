@@ -11,7 +11,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityExceeded, MixedIndex
-from .exactalg import IntMatrix, int_rank, _column_echelon
+from .exactalg import int_rank, _column_echelon
 from .hilbert import DeltaVector, orbifold_contribution, zero_delta
 from .singularity import (
     Basket,
@@ -310,13 +310,10 @@ def delta_lattice(ell: int) -> DeltaLattice:
     if not gens:
         return DeltaLattice(ell, (), 0, ())
     rank = int_rank(list(gens))
-    # lattice basis: nonzero columns of the column echelon form of gens^T
-    transpose = IntMatrix.from_columns(list(gens))
-    echelon, _, pivots = _column_echelon(transpose)
-    basis = tuple([
-        tuple([echelon[i][c] for i in range(len(gens[0]))])
-        for _, c in pivots
-    ])
+    # lattice basis: the pivot columns of the column echelon form of the
+    # matrix whose columns are gens
+    echelon, _, pivots = _column_echelon(gens)
+    basis = tuple([tuple(echelon[c]) for _, c in pivots])
     if len(basis) != rank:
         raise RuntimeError(
             f"delta-lattice basis at l={ell} has {len(basis)} rows, rank {rank}"

@@ -8,12 +8,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
 from .exactalg import (
-    IntMatrix, RationalFunction, _column_echelon, echelon_solve, graver_completion,
-    graver_fiber, int_kernel,
+    RationalFunction, _column_echelon, echelon_solve, graver_completion, graver_fiber,
 )
 from .hilbert import (
     DeltaVector, degree_contribution, orbifold_contribution, split_series, zero_delta,
@@ -135,12 +134,11 @@ class ReducedBodyResult:
 
 @dataclass
 class _IndexContext:
-    """What reconstruction at one local index needs for every delta: Phi+,
-    its column echelon form (A, U, pivots), the int_kernel basis, and the
-    Graver basis G0 of ker Phi+ from signed(), once a completion of it has
-    finished within its node_cap."""
+    """What reconstruction at one local index needs for every delta: the
+    column echelon form (A, U, pivots) of Phi+, the kernel basis read off
+    it, and the Graver basis G0 of ker Phi+ from signed(), once a
+    completion of it has finished within its node_cap."""
 
-    phi: IntMatrix
     echelon: tuple
     kernel: tuple
     graver: Optional[list] = None
@@ -148,8 +146,9 @@ class _IndexContext:
 
 @lru_cache(maxsize=None)
 def _index_context(ell: int) -> _IndexContext:
-    phi = IntMatrix.from_columns([orbifold_contribution(s).entries for s in res_plus(ell)])
-    return _IndexContext(phi, _column_echelon(phi), tuple(int_kernel(phi)))
+    echelon = _column_echelon([orbifold_contribution(s).entries for s in res_plus(ell)])
+    _, U, pivots = echelon
+    return _IndexContext(echelon, tuple([tuple(u) for u in U[len(pivots):]]))
 
 
 def enumerate_reduced_baskets(
@@ -189,7 +188,7 @@ def enumerate_reduced_baskets(
     spent = 0
     if ctx.graver is None:
         try:
-            ctx.graver, spent = graver_completion(ctx.phi, node_cap)
+            ctx.graver, spent = graver_completion(ctx.kernel, node_cap)
         except CapacityExceeded as exc:
             raise CapacityExceeded(f"at l = {ell}: kernel {exc}, 0 fiber elements") from None
     particular = echelon_solve(ctx.echelon, delta.entries)
@@ -239,29 +238,35 @@ class FeasibilityReport:
     bodies: dict = field(hash=False, default_factory=dict)
 
 
-def analyze_series(h: RationalFunction) -> FeasibilityReport:
-    """Assess every combination of per-index reduced baskets against the
-    invisible-basket degree budget IK^2 = 12 - K^2 - RK^2."""
-    k2, parts = split_series(h)
-    bodies = {
-        ell: enumerate_reduced_baskets(ell, dv)
-        for ell, dv in sorted(parts.items())
-    }
-    for ell, body in bodies.items():
+def _reduced_bodies(parts: dict) -> tuple[dict, Iterator]:
+    """(the reduced body at each local index of parts, in increasing order,
+    and every choice of one reduced basket per body, as a tuple of
+    (basket, RK^2) pairs in that order); NotRealizable at the first
+    delta-vector outside its delta-lattice."""
+    bodies = {}
+    for ell, dv in sorted(parts.items()):
+        body = enumerate_reduced_baskets(ell, dv)
         if not body.realizable:
             raise NotRealizable(
                 f"delta-vector at local index {ell} is outside the delta-lattice"
             )
-    indices = sorted(bodies)
+        bodies[ell] = body
+    return bodies, itertools.product(*[zip(b.baskets, b.per_basket_rk2) for b in bodies.values()])
+
+
+def analyze_series(h: RationalFunction) -> FeasibilityReport:
+    """Assess every combination of per-index reduced baskets against the
+    invisible-basket degree budget IK^2 = 12 - K^2 - RK^2."""
+    k2, parts = split_series(h)
+    bodies, combos = _reduced_bodies(parts)
     choices = []
-    per_index = [zip(bodies[ell].baskets, bodies[ell].per_basket_rk2) for ell in indices]
-    for combo in itertools.product(*per_index):
+    for combo in combos:
         rk2 = sum([a for _, a in combo], Fraction(0))
         ik2 = 12 - k2 - rk2
         feasible = ik2 >= 0 and ik2.denominator == 1
         choices.append(
             FeasibilityChoice(
-                tuple(zip(indices, [b for b, _ in combo])),
+                tuple(zip(bodies, [b for b, _ in combo])),
                 rk2,
                 ik2,
                 "Feasible" if feasible else "Infeasible",
@@ -305,19 +310,9 @@ def count_bound(q: dict, ell_star: int) -> int:
     orbifold with local indices up to l* and total contributions Q."""
     if ell_star < 1:
         raise ValueError(f"l* must be positive, got {ell_star}")
-    bodies = {}
-    for ell, dv in sorted(q.items()):
-        body = enumerate_reduced_baskets(ell, dv)
-        if not body.realizable:
-            raise NotRealizable(
-                f"delta-vector at local index {ell} is outside the delta-lattice"
-            )
-        bodies[ell] = body
-    indices = sorted(bodies)
     s_max = 0
     b_best = None
-    per_index = [zip(bodies[ell].baskets, bodies[ell].per_basket_rk2) for ell in indices]
-    for combo in itertools.product(*per_index):
+    for combo in _reduced_bodies(q)[1]:
         size = sum(s.width for b, _ in combo for s in b)
         s_max = max(s_max, size)
         rk2 = sum([a for _, a in combo], Fraction(0))

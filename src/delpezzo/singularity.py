@@ -189,11 +189,6 @@ def _bezout(p: int, q: int) -> tuple[int, int]:
     return x0, y0
 
 
-def _normalize_pair(start: Vec, end: Vec) -> Singularity:
-    """Normal form of Cone(start, end); raises DegenerateCone on bad rays."""
-    return normalize_cone(IntCone(start, end))
-
-
 # ---------------------------------------------------------------------------
 # classification, residue
 
@@ -237,13 +232,23 @@ def residue(s: Singularity) -> tuple[Optional[Singularity], list[Classification]
 # hyperplane sum and friends
 
 
+def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
+    """With s realized as Cone(e2, e2 + k*(l,-c)), the normal forms of
+    Cone(p(i), p(j)) for each pair i, j of consecutive cuts, where
+    p(j) = e2 + j*(l,-c) is the j-th lattice point of its edge line;
+    DegenerateCone when a ray is not primitive."""
+    ell, _, c = s.invariants()
+    return [normalize_cone(IntCone((i * ell, 1 - i * c), (j * ell, 1 - j * c)))
+            for i, j in zip(cuts, cuts[1:])]
+
+
 def continuation(s: Singularity, width: int) -> Optional[Singularity]:
     """With s realized as Cone(e2, e2 + k*(l,-c)), the normal form of
     Cone(e2 + k*(l,-c), e2 + (k+width)*(l,-c)), or None when a ray of it
     is not primitive."""
-    ell, k, c = s.invariants()
+    k = s.width
     try:
-        return _normalize_pair((k * ell, 1 - k * c), ((k + width) * ell, 1 - (k + width) * c))
+        return _shards(s, (k, k + width))[0]
     except DegenerateCone:
         return None
 
@@ -256,11 +261,10 @@ def hyperplane_sum(s1: Singularity, s2: Singularity) -> Optional[Singularity]:
     """
     if s1.is_smooth or s2.is_smooth:
         return None
-    ell, k1, c1 = s1.invariants()
-    ell2, k2, _ = s2.invariants()
-    if ell != ell2 or ell < 2 or continuation(s1, k2) != s2:
+    ell = s1.local_index
+    if ell != s2.local_index or ell < 2 or continuation(s1, s2.width) != s2:
         return None
-    return _normalize_pair((0, 1), ((k1 + k2) * ell, 1 - (k1 + k2) * c1))
+    return _shards(s1, (0, s1.width + s2.width))[0]
 
 
 def hyperplane_sum_chain(parts: Sequence[Singularity]) -> Optional[Singularity]:
@@ -280,10 +284,7 @@ def hyperplane_inverse(s: Singularity) -> Singularity:
     """The residual completing s to an elementary T-singularity."""
     if not is_residual(s):
         raise NotResidual(f"{s} is not residual")
-    ell, k, c = s.invariants()
-    mid = (k * ell, 1 - k * c)
-    end = (ell * ell, 1 - ell * c)
-    return _normalize_pair(mid, end)
+    return _shards(s, (s.width, s.local_index))[0]
 
 
 def shatterings(s: Singularity) -> list[list[Singularity]]:
@@ -292,35 +293,18 @@ def shatterings(s: Singularity) -> list[list[Singularity]]:
     Each returned list hyperplane-sums back to s; the first entry is the
     trivial shattering [s].
     """
-    ell, k, c = s.invariants()
     points = _interior_primitive_indices(s)
     out: list[list[Singularity]] = []
     for mask in range(1 << len(points)):
         chosen = [points[i] for i in range(len(points)) if mask >> i & 1]
-        cuts = [0] + chosen + [k]
-        shards = [
-            _normalize_pair(
-                (cuts[i] * ell, 1 - cuts[i] * c),
-                (cuts[i + 1] * ell, 1 - cuts[i + 1] * c),
-            )
-            for i in range(len(cuts) - 1)
-        ]
-        out.append(shards)
+        out.append(_shards(s, [0, *chosen, s.width]))
     out.sort(key=len)
     return out
 
 
 def maximal_shatter(s: Singularity) -> list[Singularity]:
     """Shards of s cut at every primitive interior edge point."""
-    ell, k, c = s.invariants()
-    cuts = [0] + _interior_primitive_indices(s) + [k]
-    return [
-        _normalize_pair(
-            (cuts[i] * ell, 1 - cuts[i] * c),
-            (cuts[i + 1] * ell, 1 - cuts[i + 1] * c),
-        )
-        for i in range(len(cuts) - 1)
-    ]
+    return _shards(s, [0, *_interior_primitive_indices(s), s.width])
 
 
 # ---------------------------------------------------------------------------

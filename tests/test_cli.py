@@ -410,3 +410,30 @@ _contribution = st.one_of(
 @given(st.integers(-1, 12).map(str), st.lists(_contribution, min_size=1, max_size=3))
 def test_count_bound_fuzz_exits_with_a_status(ell_star, contributions):
     assert _status(["count-bound", ell_star, *contributions]) in (0, 1, 2)
+
+
+# a local index as text: a small integer, at most `most`, or any text
+def _index_text(most):
+    return st.one_of(st.integers(-2, most).map(str), st.text(max_size=4))
+
+
+@_fuzz_settings
+@given(_index_text(60), st.booleans())
+def test_quiver_fuzz_exits_with_a_status(ell, as_json):
+    assert _status(["quiver", ell, *(["--json"] if as_json else [])]) in (0, 1, 2)
+
+
+@_fuzz_settings
+@given(_index_text(60))
+def test_delta_rank_fuzz_exits_with_a_status(ell):
+    assert _status(["delta-rank", ell]) in (0, 1, 2)
+
+
+# l <= 10 only: no realizable delta at l >= 11 gets an answer yet
+@_fuzz_settings
+@given(st.one_of(
+    _contribution.map(lambda text: list(text.partition(":")[::2])),
+    st.lists(st.one_of(_index_text(10), st.text(max_size=12)), min_size=2, max_size=2),
+))
+def test_reduce_fuzz_exits_with_a_status(args):
+    assert _status(["reduce", *args]) in (0, 1, 2)

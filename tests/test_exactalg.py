@@ -3,7 +3,8 @@
 Oracles used here are deliberately independent of the implementation:
 rank via Gaussian elimination over Fraction, lattice membership via
 brute-force coordinate boxes, and algebraic identities (ring axioms,
-cyclotomic factorization of t^n - 1).
+cyclotomic factorization of t^n - 1).  A matrix is the list of its
+columns, as in the library.
 """
 
 import hashlib
@@ -15,12 +16,11 @@ from math import gcd
 import pytest
 
 from delpezzo import Singularity, orbifold_contribution
-from delpezzo.errors import CapacityExceeded, NotCoprime
+from delpezzo.errors import CapacityExceeded
 from delpezzo.exactalg import (
-    IntMatrix,
     RationalFunction,
+    _column_echelon,
     cyclotomic,
-    graver_basis,
     graver_completion,
     graver_fiber,
     int_kernel,
@@ -32,9 +32,7 @@ from delpezzo.exactalg import (
     poly_div_exact,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_gcd_primitive,
-    poly_inverse_mod,
     poly_mul,
     poly_neg,
     poly_scale,
@@ -52,6 +50,61 @@ def rand_poly(max_deg=5, lo=-6, hi=6):
 
 def deg(p):
     return len(p) - 1
+
+
+# ---------------------------------------------------------------------------
+# test-only kernels: no code of the library calls them
+
+
+class NotCoprime(Exception):
+    """Polynomials share a nontrivial common factor."""
+
+
+def poly_gcd(a, b):
+    """Monic gcd over Q."""
+    g = poly_gcd_primitive(poly_to_int(a)[0], poly_to_int(b)[0])
+    return tuple(Fraction(x, g[-1]) for x in g)
+
+
+def poly_inverse_mod(f, h):
+    """u with f*u = 1 (mod h), deg u < deg h, over Q.
+
+    Raises NotCoprime when gcd(f, h) != 1.
+    """
+    if len(h) < 2:
+        raise ValueError("modulus must have degree >= 1")
+    # extended Euclid over Q[x]
+    r0, r1 = h, f
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    if len(r0) != 1:
+        raise NotCoprime("polynomials are not coprime")
+    inv = poly_scale(s0, Fraction(1, 1) / Fraction(r0[0]))
+    return poly_divmod(inv, h)[1]
+
+
+def graver_basis(cols, node_cap=None):
+    """Graver basis of the integer kernel of the matrix with these columns;
+    g and -g both appear."""
+    return [v[0] for v in graver_completion(int_kernel(cols), node_cap)[0]]
+
+
+def columns(rows, ncols=None):
+    """The columns of the matrix with these rows (ncols of them when there
+    are no rows)."""
+    ncols = len(rows[0]) if rows else ncols or 0
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def apply(cols, x):
+    """M x for the matrix M with these columns."""
+    out = [0] * (len(cols[0]) if cols else 0)
+    for col, v in zip(cols, x):
+        out = [a + v * c for a, c in zip(out, col)]
+    return tuple(out)
 
 
 class TestPolyRing:
@@ -187,7 +240,101 @@ def rand_matrix(rows, cols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def _row_major_echelon(rows, ncols):
+    """The elimination before matrices became lists of columns, kept as the
+    oracle of _column_echelon: the same column operations in the same
+    order, on A and U held as lists of rows."""
+    A = [list(row) for row in rows]
+    n = ncols
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_addmul(dst, src, s):
+        for i in range(len(A)):
+            A[i][dst] += s * A[i][src]
+        for i in range(n):
+            U[i][dst] += s * U[i][src]
+
+    def col_swap(a, b):
+        for i in range(len(A)):
+            A[i][a], A[i][b] = A[i][b], A[i][a]
+        for i in range(n):
+            U[i][a], U[i][b] = U[i][b], U[i][a]
+
+    def col_negate(c):
+        for i in range(len(A)):
+            A[i][c] = -A[i][c]
+        for i in range(n):
+            U[i][c] = -U[i][c]
+
+    pivots = []
+    pc = 0
+    for r in range(len(A)):
+        if pc >= n:
+            break
+        while True:
+            nz = [j for j in range(pc, n) if A[r][j] != 0]
+            if not nz:
+                break
+            if len(nz) == 1:
+                if nz[0] != pc:
+                    col_swap(pc, nz[0])
+                break
+            nz.sort(key=lambda j: abs(A[r][j]))
+            small = nz[0]
+            for j in nz[1:]:
+                col_addmul(j, small, -(A[r][j] // A[r][small]))
+        if A[r][pc] != 0:
+            if A[r][pc] < 0:
+                col_negate(pc)
+            pivots.append((r, pc))
+            pc += 1
+    return A, U, pivots
+
+
+def _rand_shaped_matrix(local):
+    """(rows, ncols): sizes from 0, with zero rows, zero columns and
+    columns that are combinations of earlier ones mixed in."""
+    nrows, ncols = local.randint(0, 6), local.randint(0, 6)
+    cols = []
+    for _ in range(ncols):
+        kind = local.random()
+        if kind < 0.15:
+            cols.append([0] * nrows)
+        elif kind < 0.4 and cols:
+            a, b = local.choice(cols), local.choice(cols)
+            s, t = local.randint(-3, 3), local.randint(-3, 3)
+            cols.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            cols.append([local.randint(-9, 9) for _ in range(nrows)])
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    for i in range(nrows):
+        if local.random() < 0.15:
+            rows[i] = [0] * ncols
+    return rows, ncols
+
+
 class TestIntLinearAlgebra:
+    def test_column_echelon_matches_row_major_oracle(self):
+        """The same numbers as the row-major elimination, transposed, on 300
+        seeded matrices of up to 6 x 6, including empty ones."""
+        local = random.Random(1212)
+        seen = set()
+        for _ in range(300):
+            rows, ncols = _rand_shaped_matrix(local)
+            A, U, pivots = _column_echelon(columns(rows, ncols))
+            A0, U0, pivots0 = _row_major_echelon(rows, ncols)
+            assert pivots == pivots0, rows
+            assert len(A) == len(U) == ncols
+            assert all(len(col) == len(rows) for col in A)
+            assert A == columns(A0, ncols) and U == columns(U0, ncols), rows
+            seen |= {
+                "no columns" if not ncols else "no rows" if not rows else "columns and rows",
+                *(["zero column"] if rows and any(not any(c) for c in columns(rows)) else []),
+                *(["zero row"] if ncols and any(not any(r) for r in rows) else []),
+                *(["dependent columns"] if rows and len(pivots) < ncols else []),
+            }
+        assert len(seen) == 6, seen
+
     def test_rank_matches_fraction_gauss(self):
         for _ in range(150):
             rows = rand_matrix(rng.randint(1, 4), rng.randint(1, 4))
@@ -196,27 +343,26 @@ class TestIntLinearAlgebra:
     def test_solve_produces_solutions(self):
         for _ in range(150):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-            M = IntMatrix.from_rows(rand_matrix(rows, cols))
+            M = columns(rand_matrix(rows, cols))
             x = tuple(rng.randint(-3, 3) for _ in range(cols))
-            b = M.apply(x)
+            b = apply(M, x)
             got = int_solve(M, b)
             assert got is not None
-            assert M.apply(got) == tuple(b)
+            assert apply(M, got) == tuple(b)
 
     def test_solve_detects_unsolvable(self):
         # 2x = 1 has no integer solution
-        M = IntMatrix.from_rows([[2]])
-        assert int_solve(M, (1,)) is None
+        assert int_solve([[2]], (1,)) is None
 
     def test_kernel_annihilates_and_has_right_rank(self):
         for _ in range(150):
             rows_, cols = rng.randint(1, 4), rng.randint(1, 4)
             entries = rand_matrix(rows_, cols)
-            M = IntMatrix.from_rows(entries)
+            M = columns(entries)
             ker = int_kernel(M)
             zero = (0,) * rows_
             for v in ker:
-                assert M.apply(v) == zero
+                assert apply(M, v) == zero
             assert len(ker) == cols - fraction_rank(entries)
 
     def test_kernel_spans_all_small_solutions(self):
@@ -224,16 +370,15 @@ class TestIntLinearAlgebra:
         must be an integer combination of the returned kernel basis."""
         for _ in range(30):
             entries = rand_matrix(2, 3, -2, 2)
-            M = IntMatrix.from_rows(entries)
+            M = columns(entries)
             ker = int_kernel(M)
-            K = IntMatrix.from_columns(ker) if ker else None
             for v in itertools.product(range(-3, 4), repeat=3):
-                if M.apply(v) != (0, 0):
+                if apply(M, v) != (0, 0):
                     continue
                 if not any(v):
                     continue
-                assert K is not None
-                assert int_solve(K, v) is not None
+                assert ker
+                assert int_solve(ker, v) is not None
 
 
 class TestGraverBasis:
@@ -247,9 +392,9 @@ class TestGraverBasis:
         """The Graver elements of these matrices have entries of size at
         most 4, so they are the conformally minimal nonzero kernel vectors
         of the box [-4, 4]^n (anything under a box vector is in the box)."""
-        m = IntMatrix.from_rows(rows)
-        box = itertools.product(range(-4, 5), repeat=m.cols)
-        kernel = [v for v in box if any(v) and not any(m.apply(v))]
+        m = columns(rows)
+        box = itertools.product(range(-4, 5), repeat=len(m))
+        kernel = [v for v in box if any(v) and not any(apply(m, v))]
 
         def under(u, v):
             return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(u, v))
@@ -260,17 +405,17 @@ class TestGraverBasis:
 
     def test_node_cap_reports_work_done(self):
         with pytest.raises(CapacityExceeded, match="2 pairs reduced, \\|G\\| = "):
-            graver_basis(IntMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]), node_cap=2)
+            graver_basis(columns([[1, 1, 1, 1], [0, 1, 2, 3]]), node_cap=2)
 
     def test_pinned_completion_at_seven(self):
         """[Phi+ | -delta] for the single point 1/7(1,1): the completion
         reduces 6,364 pairs and returns these 212 elements in this order,
         which holds only while the reducer scan finds the same first
         reducer as a plain scan of under() over the elements in order."""
-        columns = [orbifold_contribution(s).entries for s in res_plus(7)]
+        phi = [orbifold_contribution(s).entries for s in res_plus(7)]
         delta = orbifold_contribution(Singularity(7, 1)).entries
         assert delta == (3, 2, -3, 2, 3)
-        m = IntMatrix.from_columns(columns + [tuple(-x for x in delta)])
+        m = phi + [tuple(-x for x in delta)]
         with pytest.raises(CapacityExceeded, match="6363 pairs reduced, \\|G\\| = 212$"):
             graver_basis(m, node_cap=6363)
         got = graver_basis(m, node_cap=6364)
@@ -281,8 +426,8 @@ class TestGraverBasis:
         """The same point split by local index: ker Phi+ alone completes to
         |G0| = 142 in 2,979 pairs, and lifting G0 to the fiber of delta
         reduces 2,602 pairs and returns these 35 vectors in this order."""
-        phi = IntMatrix.from_columns([orbifold_contribution(s).entries for s in res_plus(7)])
-        g0, steps = graver_completion(phi)
+        phi = [orbifold_contribution(s).entries for s in res_plus(7)]
+        g0, steps = graver_completion(int_kernel(phi))
         assert (len(g0), steps) == (142, 2979)
         assert [v[0] for v in g0] == graver_basis(phi)
         x0 = int_solve(phi, orbifold_contribution(Singularity(7, 1)).entries)

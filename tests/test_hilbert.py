@@ -31,7 +31,7 @@ from delpezzo import (
     shatterings,
     split_series,
 )
-from delpezzo import exactalg, hilbert, quiver
+from delpezzo import exactalg, hilbert, quiver, reconstruct
 from delpezzo.errors import (
     AmbiguousDecomposition,
     DelPezzoError,
@@ -40,7 +40,6 @@ from delpezzo.errors import (
     ParseError,
 )
 from delpezzo.exactalg import (
-    IntMatrix,
     RationalFunction,
     _column_echelon,
     cyclotomic,
@@ -49,10 +48,10 @@ from delpezzo.exactalg import (
     poly_content,
     poly_div_exact,
     poly_divmod,
-    poly_inverse_mod,
     poly_mul,
     poly_primitive,
     poly_scale,
+    poly_sub,
 )
 from delpezzo.hilbert import (
     _candidate_indices,
@@ -61,13 +60,30 @@ from delpezzo.hilbert import (
     _phi_sieve,
     _scan_bound,
     basket_contributions,
-    initial_term,
     zero_delta,
 )
 from delpezzo.quiver import delta_lattice
 from delpezzo.reconstruct import residuals_of_index
 
 rng = random.Random(20260824)
+
+
+def poly_inverse_mod(f, h):
+    """u with f*u = 1 (mod h), deg u < deg h, over Q, for coprime f and h:
+    the extended Euclidean algorithm over Q[t]."""
+    r0, r1 = h, f
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+    return poly_divmod(poly_scale(s0, Fraction(1) / r0[0]), h)[1]
+
+
+def initial_term(k_squared):
+    """(1 + (K^2 - 2) t + t^2) / (1 - t)^3 with exact rational K^2."""
+    p, q = Fraction(k_squared).as_integer_ratio()
+    return RationalFunction.make((q, p - 2 * q, q), (q, -3 * q, 3 * q, -q))
 
 
 def random_singularity(max_ell):
@@ -649,8 +665,8 @@ class TestFrameOracle:
         cols = [frame.degree] + [poly_mul(frame.parts[ell], (0, *b)) for ell, b in bases]
         cols.append(cols[-1])
         nrows = max(map(len, cols))
-        rows = [[col[i] if i < len(col) else 0 for col in cols] for i in range(nrows)]
-        echelon = _column_echelon(IntMatrix.from_rows(rows))
+        padded = [[*col, *[0] * (nrows - len(col))] for col in cols]
+        echelon = _column_echelon(padded)
         monkeypatch.setitem(frame.__dict__, "system", (echelon, [*bases, bases[-1]]))
         with pytest.raises(AmbiguousDecomposition) as info:
             split_series(hs.series)
@@ -662,7 +678,7 @@ class TestFrameOracle:
         for ell in frame.parts:
             kernel += [int(x) for x in per_index[str(ell)].split(",") if x.strip()]
         assert len(kernel) == len(cols) and any(kernel)
-        assert not any(sum(x * r for x, r in zip(kernel, row)) for row in rows)
+        assert not any(sum(x * r for x, r in zip(kernel, row)) for row in zip(*padded))
         monkeypatch.undo()
         assert split_series(hs.series) == (Fraction(3), hs.orbifold_parts)
 
@@ -708,6 +724,17 @@ class TestWorkPins:
             assert calls[0][0] == cold and calls[1][0] == 0
             assert cold or calls[2][0] == 0
             monkeypatch.undo()
+
+    def test_index_context_eliminates_phi_once(self, monkeypatch):
+        """One elimination of Phi+ per local index: the kernel basis that G0
+        is completed from is read off the echelon form that also gives the
+        particular solutions."""
+        delta = orbifold_contribution(Singularity(7, 1))
+        delta_lattice(7)  # the lattice's own elimination is not of Phi+
+        reconstruct._index_context.cache_clear()
+        calls = [self.counter(monkeypatch, module, "_column_echelon") for module in (reconstruct, exactalg)]
+        assert len(reconstruct.enumerate_reduced_baskets(7, delta).baskets) == 35
+        assert calls[0][0] + calls[1][0] == 1
 
     @pytest.mark.parametrize(
         "r,a,ell", [(1_000_000, 499_999, 2), (700_000, 199_999, 7), (3_003_000, 14_999, 1001)]
@@ -816,12 +843,12 @@ def _solve_by_echelon(matrix, rhs):
     then echelon_substitute for y and x = U y; NotASurfaceSeries when
     inconsistent, None when the columns are dependent.  Every y found is
     also checked to solve the system and to vanish off the pivot columns."""
-    echelon = _column_echelon(IntMatrix.from_rows(matrix))
+    echelon = _column_echelon([[row[j] for row in matrix] for j in range(len(matrix[0]))])
     _, U, pivots = echelon
     y = echelon_substitute(echelon, rhs)
     if y is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    x = [sum(u * v for u, v in zip(row, y)) for row in U]
+    x = [sum(u[i] * v for u, v in zip(U, y)) for i in range(len(U))]
     assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
     assert not any(y[c] for c in set(range(len(U))) - {c for _, c in pivots})
     return None if len(pivots) < len(U) else x
@@ -1007,7 +1034,10 @@ def _parse_by_reduction(text: str) -> RationalFunction:
             rhs = parse_factor()
             if op == "/" and rhs.is_zero():
                 raise ParseError(f"division by zero in {text!r}")
-            node = node * rhs if op == "*" else node / rhs
+            if op == "*":
+                node = node * rhs
+            else:
+                node = RationalFunction.make(poly_mul(node.num, rhs.den), poly_mul(node.den, rhs.num))
         return node
 
     def parse_factor():

@@ -42,7 +42,7 @@ from delpezzo.errors import (
     MixedIndex,
     NotRealizable,
 )
-from delpezzo.exactalg import IntMatrix, echelon_solve, graver_basis, graver_completion, graver_fiber
+from delpezzo.exactalg import echelon_solve, graver_completion, graver_fiber, int_kernel
 from delpezzo.hilbert import zero_delta
 from delpezzo.reconstruct import _index_context
 
@@ -216,8 +216,8 @@ def completion_oracle(ell, entries):
     the fiber's minimal vectors by one full completion, with no per-index
     part kept."""
     columns = [orbifold_contribution(s).entries for s in res_plus(ell)]
-    lifted = IntMatrix.from_columns(columns + [tuple(-x for x in entries)])
-    return [g[:-1] for g in graver_basis(lifted) if g[-1] == 1]
+    graver, _ = graver_completion(int_kernel(columns + [tuple(-x for x in entries)]))
+    return [g[:-1] for g, _, _ in graver if g[-1] == 1]
 
 
 def check_lift(ell, deltas, cache):
@@ -277,7 +277,7 @@ class TestPerIndexLift:
 
     def test_cold_cap_counts_completion_and_lift(self):
         ctx = _index_context(5)
-        g0, completion = graver_completion(ctx.phi)
+        g0, completion = graver_completion(ctx.kernel)
         _, lift = graver_fiber(g0, echelon_solve(ctx.echelon, (2, 1, 2)))
         cap = completion + lift
         _index_context.cache_clear()
