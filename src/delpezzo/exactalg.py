@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import le
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityExceeded, DegenerateCone
@@ -335,49 +334,97 @@ def signed(v: tuple) -> tuple:
     return v, pos, neg
 
 
-def normal_form(v: tuple, elems: Sequence[tuple]) -> tuple:
-    """signed(v) minus the first element of elems under it, repeated.
+class Reducer:
+    """A list of elements from signed(), indexed for normal forms.
 
-    Each element of elems comes from signed(), and u ⊑ w means u_i w_i >= 0
-    and |u_i| <= |w_i| for all i.  Every element subtracted lies under the
-    vector it is subtracted from, which lies under v, so v is the conformal
-    sum of the result and the elements subtracted.
+    u ⊑ w means u_i w_i >= 0 and |u_i| <= |w_i| for all i.  For each
+    coordinate i and each value x the reducer keeps the bit set (an int) of
+    the elements g with g_i x >= 0 and |g_i| <= |x|, bit j standing for
+    elems[j], so the elements under v are the AND of one bit set per
+    coordinate.  The bit sets of coordinate i form one list indexed by
+    x in -K..K, negative x from the end, where K is the largest |g_i|; a
+    larger |x| reads the set at K or -K.
     """
-    s = signed(v)
-    while s[1] | s[2]:
-        v, off_pos, off_neg = s[0], ~s[1], ~s[2]
-        size = [abs(x) for x in v]
-        for g, gpos, gneg in elems:  # g ⊑ v, with v's side hoisted
-            if not (gpos & off_pos or gneg & off_neg) and all(map(le, map(abs, g), size)):
+
+    def __init__(self, elems: Iterable[tuple] = ()):
+        self.elems: list[tuple] = []
+        self._sets: list[list[int]] = []
+        self._bounds: list[int] = []  # K per coordinate
+        for s in elems:
+            self.add(s)
+
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def __iter__(self):
+        return iter(self.elems)
+
+    def add(self, s: tuple) -> None:
+        """Append s, a nonzero element from signed(); a zero element would
+        lie under every vector, so a normal form would never end."""
+        if not s[1] | s[2]:
+            raise ValueError("a reducer element must be nonzero")
+        bit = 1 << len(self.elems)
+        self.elems.append(s)
+        if not self._sets:
+            self._sets = [[0] for _ in s[0]]
+            self._bounds = [0] * len(s[0])
+        for i, c in enumerate(s[0]):
+            sets, k = self._sets[i], self._bounds[i]
+            if abs(c) > k:  # extend both ends to |c|, repeating the end sets
+                wide = abs(c) - k
+                sets[k + 1:k + 1] = [sets[k]] * wide + [sets[-k]] * wide
+                k = self._bounds[i] = abs(c)
+            # the values x conformal to c with |x| >= |c|
+            xs = range(-k, k + 1) if c == 0 else range(c, k + 1) if c > 0 else range(c, -k - 1, -1)
+            for x in xs:
+                sets[x] |= bit
+
+    def under(self, v: tuple) -> int:
+        """The bit set of the elements g ⊑ v."""
+        m = -1 if self.elems else 0
+        for x, sets, k in zip(v, self._sets, self._bounds):
+            m &= sets[x if -k <= x <= k else k if x > 0 else -k]
+            if not m:
                 break
-        else:
-            return s
-        s = signed(tuple([a - b for a, b in zip(v, g)]))
-    return s
+        return m
+
+    def normal_form(self, v: tuple) -> tuple:
+        """signed(v) minus the first element under it, repeated.
+
+        The first element under v in list order is the lowest bit of
+        under(v).  Every element subtracted lies under the vector it is
+        subtracted from, which lies under v, so v is the conformal sum of
+        the result and the elements subtracted.
+        """
+        while True:
+            m = self.under(v)
+            if not m:
+                return signed(v)
+            g = self.elems[(m & -m).bit_length() - 1][0]
+            v = tuple([a - b for a, b in zip(v, g)])
 
 
-def graver_completion(basis: Sequence[tuple], node_cap: Optional[int] = None) -> tuple[list, int]:
+def graver_completion(
+    basis: Sequence[tuple], node_cap: Optional[int] = None
+) -> tuple[Reducer, int]:
     """(Graver basis of the lattice L spanned by basis, pairs reduced).
 
-    The Graver basis holds g and -g, each as signed(g).  Its elements are
-    the nonzero vectors of L minimal under the conformal order ⊑; for the
-    integer kernel of M, pass int_kernel(M).  Pottier's completion (The
-    Euclidean algorithm in dimension n, ISSAC 1996) starts from any
-    lattice basis and its negatives, reduces the sum of each
-    pair that is not conformal by subtracting elements that lie under it,
-    and adds a nonzero remainder to the set; a last pass keeps the
-    ⊑-minimal elements.  Each reduced pair is one step against node_cap;
-    reaching it raises CapacityExceeded, never a partial basis.
+    The Graver basis holds g and -g, each as signed(g), in a Reducer.  Its
+    elements are the nonzero vectors of L minimal under the conformal order
+    ⊑; for the integer kernel of M, pass int_kernel(M).  Pottier's
+    completion (The Euclidean algorithm in dimension n, ISSAC 1996) starts
+    from any lattice basis and its negatives, reduces the sum of each pair
+    that is not conformal by subtracting elements that lie under it, and
+    adds a nonzero remainder to the set; a last pass keeps the ⊑-minimal
+    elements.  Each reduced pair is one step against node_cap; reaching it
+    raises CapacityExceeded, never a partial basis.
     """
-
-    def under(g: tuple, v: tuple) -> bool:  # g ⊑ v, both from signed()
-        return not (g[1] & ~v[1] or g[2] & ~v[2]) and all(
-            abs(a) <= abs(b) for a, b in zip(g[0], v[0])
-        )
-
-    elems = []
+    red = Reducer()
     for b in basis:
-        elems += [signed(b), signed(tuple([-x for x in b]))]
+        red.add(signed(b))
+        red.add(signed(tuple([-x for x in b])))
+    elems = red.elems
     steps = k = 0
     # f runs over the even positions only: the pairs of -f are the
     # negatives of the pairs of f, and so are their normal forms
@@ -392,18 +439,21 @@ def graver_completion(basis: Sequence[tuple], node_cap: Optional[int] = None) ->
                     f"{steps} pairs reduced, |G| = {len(elems)}"
                 )
             steps += 1
-            r = normal_form(tuple([a + b for a, b in zip(f, g)]), elems)
+            r = red.normal_form(tuple([a + b for a, b in zip(f, g)]))
             if r[1] | r[2]:
-                elems += [r, signed(tuple([-x for x in r[0]]))]
+                red.add(r)
+                red.add(signed(tuple([-x for x in r[0]])))
         k += 2
-    return [v for v in elems if not any(g is not v and under(g, v) for g in elems)], steps
+    # v is minimal when it is the only element under itself
+    minimal = [v for j, v in enumerate(elems) if red.under(v[0]) == 1 << j]
+    return (red if len(minimal) == len(elems) else Reducer(minimal)), steps
 
 
 def graver_fiber(
-    graver: Sequence[tuple], x0: tuple, node_cap: Optional[int] = None, spent: int = 0
+    graver: Reducer, x0: tuple, node_cap: Optional[int] = None, spent: int = 0
 ) -> tuple[list[tuple], int]:
     """(⊑-minimal elements of the coset x0 + L, pairs reduced), where graver
-    is the Graver basis of the lattice L, each element from signed().
+    is the Graver basis of the lattice L as graver_completion returns it.
 
     The truncated completion of [M | -M x0] with last coordinate 0 already
     complete (Hemmecke, On the positive sum property and the computation of
@@ -420,7 +470,7 @@ def graver_fiber(
     counted from spent, the steps taken before this call; reaching node_cap
     raises CapacityExceeded.
     """
-    fiber = [normal_form(x0, graver)]
+    fiber = [graver.normal_form(x0)]
     seen = {fiber[0][0]}
     steps = spent
     k = 0
@@ -436,7 +486,7 @@ def graver_fiber(
                     f"{len(fiber)} fiber elements so far"
                 )
             steps += 1
-            r = normal_form(tuple([a + b for a, b in zip(f, g)]), graver)
+            r = graver.normal_form(tuple([a + b for a, b in zip(f, g)]))
             if r[0] not in seen:
                 seen.add(r[0])
                 fiber.append(r)

@@ -36,7 +36,7 @@ from .exactalg import (
     poly_scale,
     poly_sub,
 )
-from .singularity import Basket, Singularity, basket_pieces
+from .singularity import Basket, Singularity
 
 # ---------------------------------------------------------------------------
 # Dedekind sums

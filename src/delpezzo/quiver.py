@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityExceeded, MixedIndex
 from .exactalg import int_rank, _column_echelon
-from .hilbert import DeltaVector, orbifold_contribution, zero_delta
+from .hilbert import orbifold_contribution
 from .singularity import (
     Basket,
     Singularity,

@@ -2,8 +2,9 @@
 
 Oracles used here are deliberately independent of the implementation:
 rank via Gaussian elimination over Fraction, lattice membership via
-brute-force coordinate boxes, and algebraic identities (ring axioms,
-cyclotomic factorization of t^n - 1).  A matrix is the list of its
+brute-force coordinate boxes, normal forms via a linear scan of the
+elements, and algebraic identities (ring axioms, cyclotomic
+factorization of t^n - 1).  A matrix is the list of its
 columns, as in the library.
 """
 
@@ -12,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 import pytest
 
@@ -19,6 +21,7 @@ from delpezzo import Singularity, orbifold_contribution
 from delpezzo.errors import CapacityExceeded
 from delpezzo.exactalg import (
     RationalFunction,
+    Reducer,
     _column_echelon,
     cyclotomic,
     graver_completion,
@@ -38,6 +41,7 @@ from delpezzo.exactalg import (
     poly_scale,
     poly_sub,
     poly_to_int,
+    signed,
 )
 from delpezzo.reconstruct import res_plus
 
@@ -84,6 +88,26 @@ def poly_inverse_mod(f, h):
         raise NotCoprime("polynomials are not coprime")
     inv = poly_scale(s0, Fraction(1, 1) / Fraction(r0[0]))
     return poly_divmod(inv, h)[1]
+
+
+def normal_form(v, elems):
+    """signed(v) minus the first element of elems under it, repeated: the
+    linear scan that Reducer.normal_form replaced.
+
+    Each element of elems comes from signed(), and u ⊑ w means u_i w_i >= 0
+    and |u_i| <= |w_i| for all i.
+    """
+    s = signed(v)
+    while s[1] | s[2]:
+        v, off_pos, off_neg = s[0], ~s[1], ~s[2]
+        size = [abs(x) for x in v]
+        for g, gpos, gneg in elems:  # g ⊑ v, with v's side hoisted
+            if not (gpos & off_pos or gneg & off_neg) and all(map(le, map(abs, g), size)):
+                break
+        else:
+            return s
+        s = signed(tuple([a - b for a, b in zip(v, g)]))
+    return s
 
 
 def graver_basis(cols, node_cap=None):
@@ -379,6 +403,43 @@ class TestIntLinearAlgebra:
                     continue
                 assert ker
                 assert int_solve(ker, v) is not None
+
+
+class TestReducer:
+    def test_normal_forms_equal_the_linear_scan(self):
+        """500 seeded lists of nonzero elements with 1 to 8 coordinates,
+        many of them zero: before each element is added, and once all are
+        in, three random vectors get exactly the linear scan's normal form.
+        The queries reach past the largest entries, and the first query of
+        every list is made against no elements."""
+        draw = random.Random(20261019)
+        queries = 0
+        for _ in range(500):
+            n, size = draw.randint(1, 8), draw.randint(1, 4)
+            entries = [0] * n + list(range(-size, size + 1))
+            red, elems = Reducer(), []
+            for _ in range(draw.randint(0, 12) + 1):
+                for _ in range(3):
+                    v = tuple([draw.randint(-3 * size, 3 * size) for _ in range(n)])
+                    assert red.normal_form(v) == normal_form(v, elems), (v, elems)
+                    queries += 1
+                g = tuple([draw.choice(entries) for _ in range(n)])
+                if any(g):
+                    red.add(signed(g))
+                    elems.append(signed(g))
+            assert list(red) == elems
+        assert queries > 4000
+
+    def test_under_is_the_set_of_elements_under(self):
+        elems = [signed(g) for g in [(1, 0, -2), (0, 0, 1), (2, -1, 0), (1, 0, -1)]]
+        red = Reducer(elems)
+        assert red.under((3, 0, -5)) == 0b1001
+        assert red.under((0, 0, 7)) == 0b0010
+        assert red.under((2, -1, 0)) == 0b0100
+        assert red.under((0, 0, 0)) == 0
+        assert Reducer().under((1, 2)) == 0
+        with pytest.raises(ValueError):
+            red.add(signed((0, 0, 0)))
 
 
 class TestGraverBasis:
