@@ -136,15 +136,12 @@ class ReducedBodyResult:
 class _IndexContext:
     """What reconstruction at one local index needs for every delta: the
     column echelon form (A, U, pivots) of Phi+, the kernel basis read off
-    it, the Graver basis G0 of ker Phi+ as the Reducer of its normal forms,
-    once a completion of it has finished within its node_cap, and each
-    finished lift of G0, keyed by delta's entries, as (the minimal
-    vectors, the pairs the lift reduced)."""
+    it, and the Graver basis G0 of ker Phi+ as the Reducer of its normal
+    forms, once a completion of it has finished within its node_cap."""
 
     echelon: tuple
     kernel: tuple
     graver: Optional[Reducer] = None
-    lifts: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
@@ -168,14 +165,10 @@ def enumerate_reduced_baskets(
     solution x0 comes from the kept echelon form of Phi+, and
     exactalg.graver_fiber lifts G0 to the fiber from the normal form of x0:
     the truncated completion of [Phi+ | -delta] that forms only the pairs
-    of a fiber vector with an element of G0.  The fiber depends only on
-    (l, delta), so each finished lift is kept with the pairs it reduced,
-    and a later call whose node_cap covers them reuses it; every call
-    still builds its baskets and re-verifies them.  node_cap bounds the
-    reduced pairs of the completion of G0, when this call runs it, and of
-    the lift together; reaching it raises CapacityExceeded rather than
-    returning a silently truncated list, and a completion cut short is not
-    kept.
+    of a fiber vector with an element of G0.  node_cap bounds the reduced
+    pairs of the completion of G0, when this call runs it, and of the lift
+    together; reaching it raises CapacityExceeded rather than returning a
+    silently truncated list, and a completion cut short is not kept.
     """
     if delta.local_index != ell:
         raise MixedIndex("delta has wrong local index")
@@ -201,15 +194,10 @@ def enumerate_reduced_baskets(
     particular = echelon_solve(ctx.echelon, delta.entries)
     if particular is None:
         raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
-    # a kept lift is the list this call's lift would return, when its
-    # node_cap lets the lift finish (spent is 0 whenever a lift is kept)
-    minimal, pairs = ctx.lifts.get(delta.entries, (None, None))
-    if minimal is None or node_cap is not None and pairs > node_cap:
-        try:
-            minimal, pairs = graver_fiber(ctx.graver, particular, node_cap, spent)
-        except CapacityExceeded as exc:
-            raise CapacityExceeded(f"at l = {ell}: {exc}") from None
-        ctx.lifts[delta.entries] = minimal, pairs
+    try:
+        minimal, _ = graver_fiber(ctx.graver, particular, node_cap, spent)
+    except CapacityExceeded as exc:
+        raise CapacityExceeded(f"at l = {ell}: {exc}") from None
     baskets = sorted(
         (SignedBasketVector(ell, v).basket() for v in minimal),
         key=lambda b: tuple([s.iso_key() for s in b]),

@@ -35,7 +35,6 @@ from delpezzo import (
     psi_invariants,
     res_plus,
 )
-from delpezzo import reconstruct
 from delpezzo.errors import (
     CapacityExceeded,
     Infeasible,
@@ -286,77 +285,6 @@ class TestPerIndexLift:
             enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap - 1)
         _index_context.cache_clear()
         assert len(enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap).baskets) == 4
-
-
-def counting(monkeypatch, name):
-    """Replace reconstruct.<name> by a wrapper that counts its calls."""
-    calls = []
-    fn = getattr(reconstruct, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(reconstruct, name, counted)
-    return calls
-
-
-class TestKeptLift:
-    """The lift at (l, delta) is kept with the pairs it reduced, and a call
-    whose node_cap covers them reuses it."""
-
-    @pytest.mark.parametrize(
-        "ell, delta",
-        [(5, DeltaVector(5, (2, 1, 2))), (7, orbifold_contribution(Singularity(7, 1)))],
-        ids=["5:2,1,2", "1/7(1,1)"],
-    )
-    def test_warm_call_runs_no_lift(self, monkeypatch, ell, delta):
-        _index_context.cache_clear()
-        lifts = counting(monkeypatch, "graver_fiber")
-        cold = enumerate_reduced_baskets(ell, delta)
-        assert len(lifts) == 1
-        warm = enumerate_reduced_baskets(ell, delta)
-        assert len(lifts) == 1 and warm == cold
-
-    def test_cap_below_the_kept_work_raises_as_a_fresh_lift(self, monkeypatch):
-        """With G0 kept, a call at a delta not lifted yet and one at the
-        kept delta raise the same message below the lift's pairs, and the
-        kept lift serves a node_cap equal to them."""
-        _index_context.cache_clear()
-        ctx = _index_context(7)
-        delta = orbifold_contribution(Singularity(7, 1))
-        enumerate_reduced_baskets(7, orbifold_contribution(hyperplane_inverse(Singularity(7, 1))))
-        assert ctx.graver is not None and delta.entries not in ctx.lifts
-        _, pairs = graver_fiber(ctx.graver, echelon_solve(ctx.echelon, delta.entries))
-        with pytest.raises(CapacityExceeded) as fresh:
-            enumerate_reduced_baskets(7, delta, node_cap=pairs - 1)
-        assert str(fresh.value).startswith(f"at l = 7: fiber lift hit the node cap {pairs - 1}: ")
-        enumerate_reduced_baskets(7, delta, node_cap=pairs)
-        assert ctx.lifts[delta.entries][1] == pairs
-        lifts = counting(monkeypatch, "graver_fiber")
-        enumerate_reduced_baskets(7, delta, node_cap=pairs)
-        assert not lifts
-        with pytest.raises(CapacityExceeded) as warm:
-            enumerate_reduced_baskets(7, delta, node_cap=pairs - 1)
-        assert len(lifts) == 1 and str(warm.value) == str(fresh.value)
-
-    def test_cache_clear_drops_the_kept_lifts(self, monkeypatch):
-        delta = DeltaVector(5, (2, 1, 2))
-        enumerate_reduced_baskets(5, delta)
-        _index_context.cache_clear()
-        completions = counting(monkeypatch, "graver_completion")
-        lifts = counting(monkeypatch, "graver_fiber")
-        enumerate_reduced_baskets(5, delta)
-        assert (len(completions), len(lifts)) == (1, 1)
-
-    def test_warm_call_reverifies_every_basket(self, monkeypatch):
-        delta = orbifold_contribution(Singularity(7, 1))
-        enumerate_reduced_baskets(7, delta)
-        lifts = counting(monkeypatch, "graver_fiber")
-        checks = counting(monkeypatch, "contains_cancelling_tuple")
-        res = enumerate_reduced_baskets(7, delta)
-        assert not lifts and len(res.baskets) == 35
-        assert [args[0] for args in checks] == list(res.baskets)
 
 
 class TestSignedBasketVector:
