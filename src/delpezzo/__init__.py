@@ -29,7 +29,6 @@ from .quiver import (
     self_duals,
 )
 from .reconstruct import (
-    DegreeBoundsConfig,
     FeasibilityReport,
     ReducedBodyResult,
     SignedBasketVector,

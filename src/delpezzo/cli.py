@@ -22,7 +22,6 @@ from .hilbert import (
 )
 from .quiver import delta_lattice, residual_quiver
 from .reconstruct import (
-    DegreeBoundsConfig,
     analyze_series,
     count_bound,
     degree_bounds,
@@ -305,7 +304,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bounds(args) -> int:
     b = parse_basket_text(args.basket)
-    m, big = degree_bounds(b, DegreeBoundsConfig(args.nmin))
+    m, big = degree_bounds(b, args.nmin)
     emit(
         args,
         schema(baskets=[b], bounds=(m, big)),

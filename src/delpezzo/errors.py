@@ -46,7 +46,8 @@ class NotRealizable(DelPezzoError):
 
 
 class CapacityExceeded(DelPezzoError):
-    """A configurable enumeration ceiling was hit; results would be partial."""
+    """An enumeration reached its fixed work budget; results would be partial.
+    The message names the budget and the work done before it was reached."""
 
 
 class Infeasible(DelPezzoError):

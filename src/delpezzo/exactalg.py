@@ -405,9 +405,7 @@ class Reducer:
             v = tuple([a - b for a, b in zip(v, g)])
 
 
-def graver_completion(
-    basis: Sequence[tuple], node_cap: Optional[int] = None
-) -> tuple[Reducer, int]:
+def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, int]:
     """(Graver basis of the lattice L spanned by basis, pairs reduced).
 
     The Graver basis holds g and -g, each as signed(g), in a Reducer.  Its
@@ -433,7 +431,7 @@ def graver_completion(
         for g, gpos, gneg in elems[:k]:
             if not (fpos & gneg or fneg & gpos):
                 continue  # f + g is the conformal sum of f and g
-            if node_cap is not None and steps >= node_cap:
+            if steps >= node_cap:
                 raise CapacityExceeded(
                     f"Graver completion hit the node cap {node_cap}: "
                     f"{steps} pairs reduced, |G| = {len(elems)}"
@@ -449,9 +447,7 @@ def graver_completion(
     return (red if len(minimal) == len(elems) else Reducer(minimal)), steps
 
 
-def graver_fiber(
-    graver: Reducer, x0: tuple, node_cap: Optional[int] = None, spent: int = 0
-) -> tuple[list[tuple], int]:
+def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple], int]:
     """(⊑-minimal elements of the coset x0 + L, pairs reduced), where graver
     is the Graver basis of the lattice L as graver_completion returns it.
 
@@ -466,24 +462,21 @@ def graver_fiber(
     as f + a sum from graver with least 1-norm; a pair in sign conflict
     could be replaced by a conformal sum of smaller 1-norm (from graver, or
     the normal form of f + g plus the elements it subtracted), so the sum is
-    conformal and w = f.  Each reduced pair is one step against node_cap,
-    counted from spent, the steps taken before this call; reaching node_cap
-    raises CapacityExceeded.
+    conformal and w = f.  Each reduced pair is one step against node_cap;
+    reaching it raises CapacityExceeded, never a partial fiber.
     """
     fiber = [graver.normal_form(x0)]
     seen = {fiber[0][0]}
-    steps = spent
-    k = 0
+    steps = k = 0
     while k < len(fiber):
         f, fpos, fneg = fiber[k]
         for g, gpos, gneg in graver:
             if not (fpos & gneg or fneg & gpos):
                 continue  # f + g is the conformal sum of f and g
-            if node_cap is not None and steps >= node_cap:
+            if steps >= node_cap:
                 raise CapacityExceeded(
-                    f"fiber lift hit the node cap {node_cap}: {steps} pairs reduced "
-                    f"({spent} before the lift), |G0| = {len(graver)}, "
-                    f"{len(fiber)} fiber elements so far"
+                    f"fiber lift hit the node cap {node_cap}: {steps} pairs reduced, "
+                    f"|G0| = {len(graver)}, {len(fiber)} fiber elements so far"
                 )
             steps += 1
             r = graver.normal_form(tuple([a + b for a, b in zip(f, g)]))
@@ -491,7 +484,7 @@ def graver_fiber(
                 seen.add(r[0])
                 fiber.append(r)
         k += 1
-    return [v[0] for v in fiber], steps - spent
+    return [v[0] for v in fiber], steps
 
 
 def int_solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple]:

@@ -244,18 +244,16 @@ def degree_contribution(s: Singularity) -> Fraction:
 # baskets and full series
 
 
-def basket_contributions(b: Basket) -> tuple[dict[int, DeltaVector], Fraction]:
-    """Per-local-index delta-vector sums and the total degree contribution."""
+def basket_contributions(b: Basket) -> dict[int, DeltaVector]:
+    """The nonzero per-local-index delta-vector sums."""
     parts: dict[int, DeltaVector] = {}
-    total_a = Fraction(0)
     for s in b:
-        total_a += degree_contribution(s)
         q = orbifold_contribution(s)
         if q.is_zero:
             continue
         ell = q.local_index
         parts[ell] = parts.get(ell, zero_delta(ell)) + q
-    return {ell: v for ell, v in sorted(parts.items()) if not v.is_zero}, total_a
+    return {ell: v for ell, v in sorted(parts.items()) if not v.is_zero}
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def assemble_series(b: Basket, k_squared) -> HilbertSeries:
     once, by the Phi_n of D that divide it and then the content and sign.
     """
     k = Fraction(k_squared)
-    parts, _ = basket_contributions(b)
+    parts = basket_contributions(b)
     frame = _frame(_divisor_closure(parts))
     p, q = k.numerator, k.denominator
     num = poly_add(poly_scale(frame.geometric, q), poly_scale(frame.degree, p))

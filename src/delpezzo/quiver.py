@@ -17,6 +17,7 @@ from .singularity import (
     Basket,
     Singularity,
     basket,
+    basket_pieces,
     continuation,
     hyperplane_sum,
     hyperplane_sum_chain,
@@ -58,10 +59,6 @@ class ResidualQuiver:
     def successor(self, s: Singularity) -> Singularity:
         i = self.vertices.index(s)
         return self.vertices[(i + 1) % len(self.vertices)]
-
-    def dual_position(self, i: int) -> int:
-        """Position of the dual vertex; the cycle reverses under dualizing."""
-        return (-i) % len(self.vertices)
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +219,16 @@ def _arc_types(ell: int, max_length: int) -> tuple[Arc, ...]:
     return tuple(out)
 
 
-def regroupings(m: IndecMultiset, node_cap: int = 2_000_000) -> list[Basket]:
+# search nodes allowed to one regroupings call
+NODE_BUDGET = 2_000_000
+
+
+def regroupings(m: IndecMultiset) -> list[Basket]:
     """All baskets whose maximal shattering equals m.
 
     Parts are glued arcs of the quiver cycle; wrapping arcs produce
-    T-singularities.
+    T-singularities.  The search may visit NODE_BUDGET nodes; reaching it
+    raises CapacityExceeded rather than returning a partial list.
     """
     ell = m.local_index
     q = residual_quiver(ell)
@@ -235,12 +237,15 @@ def regroupings(m: IndecMultiset, node_cap: int = 2_000_000) -> list[Basket]:
         return [()] if m.size == 0 else []
     arcs = [a for a in _arc_types(ell, m.size) if _fits(a.consumption, m.counts)]
     found: dict[tuple, Basket] = {}
-    budget = [node_cap]
+    visited = [0]
 
     def rec(idx: int, remaining: list[int], parts: list[Singularity]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityExceeded("regrouping enumeration exceeded node cap")
+        if visited[0] >= NODE_BUDGET:
+            raise CapacityExceeded(
+                f"regrouping enumeration hit the node cap {NODE_BUDGET}: "
+                f"{visited[0]} nodes visited, {len(found)} distinct baskets found"
+            )
+        visited[0] += 1
         if all(x == 0 for x in remaining):
             b = basket(parts)
             found.setdefault(tuple((s.r, s.a) for s in b), b)
@@ -335,8 +340,6 @@ def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     that half, and the work grows with that product rather than with
     2^(items).
     """
-    from .singularity import basket_pieces
-
     pieces = basket_pieces(list(b))
     for piece in pieces.values():
         witness = _cancelling_single_index(piece)

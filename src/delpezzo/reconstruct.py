@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
 from .exactalg import (
@@ -24,7 +24,13 @@ from .quiver import (
     maximal_shattering,
     residual_quiver,
 )
-from .singularity import Basket, Singularity, basket, hyperplane_inverse, residuals_of_index
+from .singularity import (
+    Basket, Singularity, basket, hyperplane_inverse, residuals_of_index, residue,
+)
+
+# reduced pairs allowed to each stage of enumerate_reduced_baskets: the
+# completion of G0 at one local index, and each lift of G0 to a fiber
+PAIR_BUDGET = 5_000_000
 
 
 def _canonical(s: Singularity) -> Singularity:
@@ -85,22 +91,6 @@ class SignedBasketVector:
                 out.extend([Singularity(*inverses[i])] * (-v))
         return basket(out)
 
-    @classmethod
-    def from_basket(cls, ell: int, b: Basket) -> "SignedBasketVector":
-        reps = res_plus(ell)
-        forward = {s.iso_key(): i for i, s in enumerate(reps)}
-        backward = {k: i for i, k in enumerate(_inverse_keys(ell))}
-        coords = [0] * len(reps)
-        for s in b:
-            key = s.iso_key()
-            if key in forward:
-                coords[forward[key]] += 1
-            elif key in backward:
-                coords[backward[key]] -= 1
-            else:
-                raise MixedIndex(f"{s} is not residual of local index {ell}")
-        return cls(ell, tuple(coords))
-
 
 def features_in(u: Sequence[int], v: Sequence[int]) -> bool:
     """Whether u lies in the signature cone v + L_v of v."""
@@ -119,41 +109,27 @@ class ReducedBodyResult:
     local_index: int
     delta: DeltaVector
     realizable: bool
-    particular: Optional[SignedBasketVector]
-    kernel_basis: tuple
     baskets: tuple  # of Basket
+    vectors: tuple  # the signed Res+ coordinates of each basket
     per_basket_rk2: tuple  # of Fraction
-
-    @property
-    def vectors(self) -> tuple:
-        return tuple(
-            SignedBasketVector.from_basket(self.local_index, b).coords
-            for b in self.baskets
-        )
-
-
-@dataclass
-class _IndexContext:
-    """What reconstruction at one local index needs for every delta: the
-    column echelon form (A, U, pivots) of Phi+, the kernel basis read off
-    it, and the Graver basis G0 of ker Phi+ as the Reducer of its normal
-    forms, once a completion of it has finished within its node_cap."""
-
-    echelon: tuple
-    kernel: tuple
-    graver: Optional[Reducer] = None
 
 
 @lru_cache(maxsize=None)
-def _index_context(ell: int) -> _IndexContext:
+def _index_context(ell: int) -> tuple[tuple, Reducer]:
+    """(the column echelon form (A, U, pivots) of Phi+, the Graver basis G0
+    of ker Phi+ as the Reducer of its normal forms).  G0 is completed from
+    the kernel columns of U within PAIR_BUDGET pairs; lru_cache keeps no
+    raised exception, so a completion cut short is not kept."""
     echelon = _column_echelon([orbifold_contribution(s).entries for s in res_plus(ell)])
     _, U, pivots = echelon
-    return _IndexContext(echelon, tuple([tuple(u) for u in U[len(pivots):]]))
+    try:
+        graver, _ = graver_completion([tuple(u) for u in U[len(pivots):]], PAIR_BUDGET)
+    except CapacityExceeded as exc:
+        raise CapacityExceeded(f"at l = {ell}: kernel {exc}") from None
+    return echelon, graver
 
 
-def enumerate_reduced_baskets(
-    ell: int, delta: DeltaVector, node_cap: int = 5_000_000
-) -> ReducedBodyResult:
+def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult:
     """All cancelling-tuple-free baskets of residuals at local index l whose
     total orbifold contribution is delta.
 
@@ -165,10 +141,9 @@ def enumerate_reduced_baskets(
     solution x0 comes from the kept echelon form of Phi+, and
     exactalg.graver_fiber lifts G0 to the fiber from the normal form of x0:
     the truncated completion of [Phi+ | -delta] that forms only the pairs
-    of a fiber vector with an element of G0.  node_cap bounds the reduced
-    pairs of the completion of G0, when this call runs it, and of the lift
-    together; reaching it raises CapacityExceeded rather than returning a
-    silently truncated list, and a completion cut short is not kept.
+    of a fiber vector with an element of G0.  The completion and the lift
+    may each reduce PAIR_BUDGET pairs; reaching it raises CapacityExceeded
+    rather than returning a silently truncated list.
     """
     if delta.local_index != ell:
         raise MixedIndex("delta has wrong local index")
@@ -176,32 +151,25 @@ def enumerate_reduced_baskets(
         raise NotRealizable("delta-vector must be palindromic")
     lattice = delta_lattice(ell)
     if not lattice.contains(delta.entries):
-        return ReducedBodyResult(ell, delta, False, None, (), (), ())
-
-    ctx = _index_context(ell)
+        return ReducedBodyResult(ell, delta, False, (), (), ())
     if delta.is_zero:
         # the empty basket is the only cancelling-tuple-free zero-sum basket
         return ReducedBodyResult(
-            ell, delta, True, SignedBasketVector(ell, (0,) * len(res_plus(ell))),
-            ctx.kernel, ((),), (Fraction(0),),
+            ell, delta, True, ((),), ((0,) * len(res_plus(ell)),), (Fraction(0),)
         )
-    spent = 0
-    if ctx.graver is None:
-        try:
-            ctx.graver, spent = graver_completion(ctx.kernel, node_cap)
-        except CapacityExceeded as exc:
-            raise CapacityExceeded(f"at l = {ell}: kernel {exc}, 0 fiber elements") from None
-    particular = echelon_solve(ctx.echelon, delta.entries)
-    if particular is None:
+    echelon, graver = _index_context(ell)
+    x0 = echelon_solve(echelon, delta.entries)
+    if x0 is None:
         raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
     try:
-        minimal, _ = graver_fiber(ctx.graver, particular, node_cap, spent)
+        minimal, _ = graver_fiber(graver, x0, PAIR_BUDGET)
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: {exc}") from None
-    baskets = sorted(
-        (SignedBasketVector(ell, v).basket() for v in minimal),
-        key=lambda b: tuple([s.iso_key() for s in b]),
-    )
+    # the lift returns at least the normal form of x0
+    baskets, vectors = zip(*sorted(
+        ((SignedBasketVector(ell, v).basket(), v) for v in minimal),
+        key=lambda bv: tuple([s.iso_key() for s in bv[0]]),
+    ))
     # soundness: re-verify the exact Q-sum and cancelling-freeness
     for b in baskets:
         total = sum((orbifold_contribution(s) for s in b), zero_delta(ell))
@@ -212,9 +180,7 @@ def enumerate_reduced_baskets(
     rk2 = tuple([sum([degree_contribution(s) for s in b], Fraction(0)) for b in baskets])
     if len({x % 1 for x in rk2}) > 1:
         raise RuntimeError(f"RK^2 values {rk2} differ modulo 1")
-    return ReducedBodyResult(
-        ell, delta, True, SignedBasketVector(ell, particular), ctx.kernel, tuple(baskets), rk2
-    )
+    return ReducedBodyResult(ell, delta, True, baskets, vectors, rk2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +246,17 @@ def analyze_series(h: RationalFunction) -> FeasibilityReport:
     return FeasibilityReport(k2, tuple(choices), verdict, toric_impossible, bodies)
 
 
-@dataclass(frozen=True)
-class DegreeBoundsConfig:
-    n_min: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_min < 0:
-            raise ValueError("n_min must be nonnegative")
-
-
-def degree_bounds(
-    b: Basket, cfg: DegreeBoundsConfig = DegreeBoundsConfig()
-) -> tuple[Fraction, Fraction]:
+def degree_bounds(b: Basket, n_min: int = 0) -> tuple[Fraction, Fraction]:
     """(m, M) with m <= K^2 <= M for any surface carrying this basket of
-    residues, from K^2 = 12 - n - sum(A) and the Fano condition K^2 > 0."""
+    residues, from K^2 = 12 - n - sum(A) with n >= n_min and the Fano
+    condition K^2 > 0."""
+    if n_min < 0:
+        raise ValueError("n_min must be nonnegative")
     for s in b:
         if not (0 < s.width < s.local_index):
             raise MixedIndex(f"{s} is not residual")
     a_total = sum((degree_contribution(s) for s in b), Fraction(0))
-    big = 12 - a_total - cfg.n_min
+    big = 12 - a_total - n_min
     if big <= 0:
         raise Infeasible(f"maximum degree {big} is not positive")
     slack = big - 1 if big.denominator == 1 else big.numerator // big.denominator
@@ -327,8 +285,6 @@ def psi_invariants(
 ) -> tuple[IndecMultiset, IndecMultiset]:
     """(Psi, Psi~): shattering counts of the residues of the l-piece, and of
     the full l-piece; they differ by a multiple of the quiver cycle."""
-    from .singularity import residue
-
     piece = [s for s in extended_basket if s.local_index == ell]
     q = residual_quiver(ell)
     n = len(q.vertices)

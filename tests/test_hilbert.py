@@ -509,7 +509,7 @@ class TestSeriesRoundTrip:
 def _assemble_by_addition(b, k2) -> RationalFunction:
     """Oracle: the earlier assembly, the initial term plus each part's
     rational_function(), one reducing gcd per addition."""
-    parts, _ = basket_contributions(b)
+    parts = basket_contributions(b)
     series = initial_term(Fraction(k2))
     for v in parts.values():
         series = series + v.rational_function()

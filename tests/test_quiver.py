@@ -23,7 +23,8 @@ from delpezzo import (
     residual_quiver,
     self_duals,
 )
-from delpezzo.errors import MixedIndex
+from delpezzo import quiver
+from delpezzo.errors import CapacityExceeded, MixedIndex
 from delpezzo.exactalg import (
     cyclotomic,
     int_rank,
@@ -238,6 +239,22 @@ class TestShatteringMultisets:
                 assert back.pair_counts() == m.pair_counts()
             key = tuple(sorted(s.iso_key() for s in picks))
             assert key in {tuple(sorted(s.iso_key() for s in g)) for g in groups}
+
+    def test_regrouping_budget_reports_work_done(self, monkeypatch):
+        """Two 1/5(1,1) and one 1/20(1,3) regroup in 4 ways, found in 86
+        search nodes; one node fewer raises and names what was done."""
+        m = maximal_shattering(
+            [Singularity(5, 1), Singularity(5, 1), Singularity(20, 3)], extended=True
+        )
+        monkeypatch.setattr(quiver, "NODE_BUDGET", 85)
+        with pytest.raises(
+            CapacityExceeded,
+            match=r"^regrouping enumeration hit the node cap 85: "
+            r"85 nodes visited, 4 distinct baskets found$",
+        ):
+            regroupings(m)
+        monkeypatch.setattr(quiver, "NODE_BUDGET", 86)
+        assert len(regroupings(m)) == 4
 
 
 class TestCancellingTuples:

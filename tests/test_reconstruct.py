@@ -16,7 +16,6 @@ from math import gcd
 import pytest
 
 from delpezzo import (
-    DegreeBoundsConfig,
     DeltaVector,
     SignedBasketVector,
     Singularity,
@@ -35,6 +34,7 @@ from delpezzo import (
     psi_invariants,
     res_plus,
 )
+from delpezzo import reconstruct
 from delpezzo.errors import (
     CapacityExceeded,
     Infeasible,
@@ -42,9 +42,9 @@ from delpezzo.errors import (
     MixedIndex,
     NotRealizable,
 )
-from delpezzo.exactalg import echelon_solve, graver_completion, graver_fiber, int_kernel
+from delpezzo.exactalg import graver_completion, int_kernel
 from delpezzo.hilbert import zero_delta
-from delpezzo.reconstruct import _index_context
+from delpezzo.reconstruct import PAIR_BUDGET, _index_context
 
 rng = random.Random(20260824)
 
@@ -84,6 +84,30 @@ def basket_key(b):
     return tuple(sorted(s.iso_key() for s in b))
 
 
+def from_basket(ell, b):
+    """Oracle for ReducedBodyResult.vectors: the signed Res+ coordinates of
+    a basket, counted class by class from the basket itself."""
+    forward = {s.iso_key(): i for i, s in enumerate(res_plus(ell))}
+    backward = {hyperplane_inverse(s).iso_key(): i for i, s in enumerate(res_plus(ell))}
+    coords = [0] * len(forward)
+    for s in b:
+        key = s.iso_key()
+        if key in forward:
+            coords[forward[key]] += 1
+        elif key in backward:
+            coords[backward[key]] -= 1
+        else:
+            raise MixedIndex(f"{s} is not residual of local index {ell}")
+    return tuple(coords)
+
+
+def check_vectors(res):
+    """Each stored vector is the vector of the basket beside it."""
+    assert len(res.vectors) == len(res.baskets)
+    for v, b in zip(res.vectors, res.baskets):
+        assert v == from_basket(res.local_index, b), b
+
+
 class TestEnumeratePinned:
     def test_pinned_example_four_baskets(self):
         res = enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
@@ -102,7 +126,8 @@ class TestEnumeratePinned:
         assert len(res.baskets) == 25
         # fiber structure: all representative vectors differ by kernel elements
         particular = res.vectors[0]
-        kgens = res.kernel_basis
+        kgens = int_kernel([orbifold_contribution(s).entries for s in res_plus(5)])
+        assert len(kgens) == 2
         for v in res.vectors[1:]:
             diff = tuple(a - b for a, b in zip(v, particular))
             # solvable in the kernel lattice (rank 2 at ell=5)
@@ -132,9 +157,10 @@ class TestEnumeratePinned:
         with pytest.raises(MixedIndex):
             enumerate_reduced_baskets(5, DeltaVector(3, (1,)))
 
-    def test_capacity_ceiling_is_explicit(self):
+    def test_capacity_ceiling_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "PAIR_BUDGET", 1)
         with pytest.raises(CapacityExceeded):
-            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
 
 
 class TestEnumerateOracle:
@@ -148,6 +174,7 @@ class TestEnumerateOracle:
         res = enumerate_reduced_baskets(5, delta)
         got = {basket_key(b) for b in res.baskets}
         assert got == expected
+        check_vectors(res)
 
     @pytest.mark.parametrize(
         "point", [Singularity(16, 1), hyperplane_inverse(Singularity(48, 5))], ids=str
@@ -158,8 +185,10 @@ class TestEnumerateOracle:
             basket_key(SignedBasketVector(8, v).basket())
             for v in brute_force_vectors(8, delta)
         }
-        got = {basket_key(b) for b in enumerate_reduced_baskets(8, delta).baskets}
+        res = enumerate_reduced_baskets(8, delta)
+        got = {basket_key(b) for b in res.baskets}
         assert got == expected
+        check_vectors(res)
 
     @pytest.mark.parametrize("point", [Singularity(42, 11), Singularity(72, 7)], ids=str)
     def test_minimal_and_complete_in_unit_box(self, point):
@@ -175,7 +204,9 @@ class TestEnumerateOracle:
             return tuple(sum(c * q[i] for c, q in zip(v, qs)) for i in range(ell - 2))
 
         zero = (0,) * (ell - 2)
-        vectors = enumerate_reduced_baskets(ell, delta).vectors
+        res = enumerate_reduced_baskets(ell, delta)
+        check_vectors(res)
+        vectors = res.vectors
         assert vectors
         for v in vectors:
             assert image(v) == delta.entries
@@ -216,7 +247,7 @@ def completion_oracle(ell, entries):
     the fiber's minimal vectors by one full completion, with no per-index
     part kept."""
     columns = [orbifold_contribution(s).entries for s in res_plus(ell)]
-    graver, _ = graver_completion(int_kernel(columns + [tuple(-x for x in entries)]))
+    graver, _ = graver_completion(int_kernel(columns + [tuple(-x for x in entries)]), PAIR_BUDGET)
     return [g[:-1] for g, _, _ in graver if g[-1] == 1]
 
 
@@ -227,9 +258,10 @@ def check_lift(ell, deltas, cache):
     for delta in deltas:
         if cache == "cold":
             _index_context.cache_clear()
-        vectors = enumerate_reduced_baskets(ell, delta).vectors
+        res = enumerate_reduced_baskets(ell, delta)
+        check_vectors(res)
         expected = completion_oracle(ell, delta.entries)
-        assert len(vectors) == len(expected) and set(vectors) == set(expected), delta
+        assert len(res.vectors) == len(expected) and set(res.vectors) == set(expected), delta
 
 
 class TestPerIndexLift:
@@ -255,36 +287,28 @@ class TestPerIndexLift:
             )))
         check_lift(ell, deltas, cache)
 
-    def test_cut_completion_is_not_kept(self):
+    def test_cut_completion_is_not_kept(self, monkeypatch):
         _index_context.cache_clear()
+        monkeypatch.setattr(reconstruct, "PAIR_BUDGET", 1)
         with pytest.raises(
             CapacityExceeded,
             match=r"^at l = 5: kernel Graver completion hit the node cap 1: "
-            r"1 pairs reduced, \|G\| = 6, 0 fiber elements$",
+            r"1 pairs reduced, \|G\| = 6$",
         ):
-            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
-        assert _index_context(5).graver is None
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
+        assert _index_context.cache_info().currsize == 0
+        monkeypatch.undo()
         assert len(enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2))).baskets) == 4
 
-    def test_warm_cap_counts_the_lift(self):
+    def test_warm_cap_counts_the_lift(self, monkeypatch):
         enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
+        monkeypatch.setattr(reconstruct, "PAIR_BUDGET", 1)
         with pytest.raises(
             CapacityExceeded,
-            match=r"^at l = 5: fiber lift hit the node cap 1: 1 pairs reduced "
-            r"\(0 before the lift\), \|G0\| = 8, 2 fiber elements so far$",
+            match=r"^at l = 5: fiber lift hit the node cap 1: 1 pairs reduced, "
+            r"\|G0\| = 8, 2 fiber elements so far$",
         ):
-            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=1)
-
-    def test_cold_cap_counts_completion_and_lift(self):
-        ctx = _index_context(5)
-        g0, completion = graver_completion(ctx.kernel)
-        _, lift = graver_fiber(g0, echelon_solve(ctx.echelon, (2, 1, 2)))
-        cap = completion + lift
-        _index_context.cache_clear()
-        with pytest.raises(CapacityExceeded, match=f"{cap - 1} pairs reduced \\({completion} before"):
-            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap - 1)
-        _index_context.cache_clear()
-        assert len(enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)), node_cap=cap).baskets) == 4
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
 
 
 class TestSignedBasketVector:
@@ -292,7 +316,7 @@ class TestSignedBasketVector:
         for _ in range(100):
             coords = tuple(rng.randint(-3, 3) for _ in range(4))
             v = SignedBasketVector(5, coords)
-            assert SignedBasketVector.from_basket(5, v.basket()).coords == coords
+            assert from_basket(5, v.basket()) == coords
 
     def test_negative_coordinates_mean_inverses(self):
         v = SignedBasketVector(5, (0, -2, 0, 0))
@@ -337,7 +361,11 @@ class TestDegreeBounds:
 
     def test_infeasible_when_budget_nonpositive(self):
         with pytest.raises(Infeasible):
-            degree_bounds(basket([]), DegreeBoundsConfig(n_min=12))
+            degree_bounds(basket([]), n_min=12)
+
+    def test_negative_n_min_rejected(self):
+        with pytest.raises(ValueError, match="n_min must be nonnegative"):
+            degree_bounds(basket([]), n_min=-1)
 
     def test_m_is_least_positive_value_congruent_to_M(self):
         for _ in range(50):
