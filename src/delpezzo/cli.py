@@ -275,9 +275,10 @@ def cmd_analyze(args) -> int:
     h = parse_rational_function(args.series)
     report = analyze_series(h)
     verdict = "NO_SURFACE" if report.verdict == "NoSurface" else "FEASIBLE"
+    # each choice's basket, flattened over its local indices
+    baskets = [tuple([s for _, b in c.selection for s in b]) for c in report.per_choice]
     lines = [f"K2={fmt_frac(report.k_squared)}"]
-    for i, choice in enumerate(report.per_choice, start=1):
-        flat = [s for _, b in choice.selection for s in b]
+    for i, (choice, flat) in enumerate(zip(report.per_choice, baskets), start=1):
         lines.append(
             f"choice {i}: {fmt_basket(flat)} RK2={fmt_frac(choice.rk_squared)} "
             f"IK2={fmt_frac(choice.invisible_budget)} {choice.verdict.upper()}"
@@ -287,8 +288,6 @@ def cmd_analyze(args) -> int:
         lines.append("toric=IMPOSSIBLE")
     if args.terms:
         lines.append(fmt_terms(h, args.terms))
-    feasible = [c for c in report.per_choice if c.verdict == "Feasible"]
-    baskets = [tuple([s for _, b in c.selection for s in b]) for c in report.per_choice]
     indices = sorted(report.bodies)
     payload = schema(
         indices[0] if len(indices) == 1 else 0,
@@ -296,7 +295,7 @@ def cmd_analyze(args) -> int:
         baskets,
         [c.rk_squared for c in report.per_choice],
         verdict,
-        _bounds_or_none([tuple([s for _, b in c.selection for s in b]) for c in feasible]),
+        _bounds_or_none([b for c, b in zip(report.per_choice, baskets) if c.verdict == "Feasible"]),
     )
     emit(args, payload, lines)
     return 0

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityExceeded, DegenerateCone
+from .errors import CapacityExceeded
 
 Poly = tuple  # coefficient tuple, lowest degree first
 
@@ -107,28 +107,6 @@ def poly_primitive(a: Poly) -> Poly:
     return tuple([x // g for x in a]) if g > 1 else a
 
 
-def _pseudo_remainder(a: Poly, b: Poly) -> Poly:
-    """A nonzero integer multiple of the remainder of a by b, both in Z[t].
-
-    Each step cancels the leading term as (l/g)*rem - (c/g)*t^k*b with
-    g = gcd(l, c), so the coefficients stay integers without Fractions.
-    """
-    rem = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            g = gcd(lead, c)
-            s, c = lead // g, c // g
-            if s != 1:
-                rem = [x * s for x in rem]
-            for j, y in enumerate(b):
-                rem[i - db + j] -= c * y
-        rem.pop()
-    return poly(rem)
-
-
 def poly_gcd_primitive(a: Poly, b: Poly) -> Poly:
     """Primitive gcd in Z[t] of integer polynomials, leading coefficient
     positive; () when both are zero.
@@ -141,7 +119,8 @@ def poly_gcd_primitive(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, poly_primitive(_pseudo_remainder(a, b))
+        # lead(b)^(deg a - deg b + 1) * a has an integer quotient and remainder by b
+        a, b = b, poly_primitive(poly_divmod(poly_scale(a, b[-1] ** (len(a) - len(b) + 1)), b)[1])
     return poly_neg(a) if a and a[-1] < 0 else a
 
 
@@ -171,13 +150,13 @@ def poly_to_int(a: Poly) -> tuple[Poly, int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division."""
+    """The n-th cyclotomic polynomial, by exact division; dividing by the
+    monic Phi_d keeps every coefficient an int."""
     num = poly_sub(poly([0] * n + [1]), (1,))  # t^n - 1
     for d in range(1, n):
         if n % d == 0:
             num = poly_div_exact(num, cyclotomic(d))
-    ints, _ = poly_to_int(num)
-    return ints
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +543,3 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def cone_determinant(u: Sequence[int], v: Sequence[int]) -> int:
-    """Oriented determinant under the clockwise ray convention.
-
-    Positive exactly for clockwise-ordered cones such as
-    (e2, r*e1 - a*e2); zero is rejected.
-    """
-    d = u[1] * v[0] - u[0] * v[1]
-    if d == 0:
-        raise DegenerateCone(f"rays {tuple(u)} and {tuple(v)} are dependent")
-    return d

@@ -197,11 +197,9 @@ def hj_expansion(p: int, q: int) -> HJExpansion:
     while p > q:
         b = -(-p // q)  # ceil
         terms.append(b)
-        p, q = q, b * q - p
+        p, q = q, b * q - p  # gcd(q, b*q - p) = gcd(q, p) = 1
         if q == 0:
             break
-        g = gcd(p, q)
-        p, q = p // g, q // g
     return HJExpansion(target, tuple(terms))
 
 

@@ -21,17 +21,17 @@ from .singularity import (
     continuation,
     hyperplane_sum,
     hyperplane_sum_chain,
+    is_residual,
     maximal_shatter,
 )
 
 
-@lru_cache(maxsize=None)
 def indecomposables(ell: int) -> tuple[Singularity, ...]:
     """The phi(l) indecomposables at local index l, in quiver cycle order.
 
     For l <= 2 there are none; an empty tuple is returned.
     """
-    return residual_quiver(ell).vertices if ell >= 3 else ()
+    return residual_quiver(ell).vertices
 
 
 def _indec_by_slope(ell: int) -> dict[int, Singularity]:
@@ -106,7 +106,6 @@ def elementary_t(ell: int, start: Singularity) -> Singularity:
     return out
 
 
-@lru_cache(maxsize=None)
 def self_duals(ell: int) -> tuple[Singularity, Singularity]:
     """The two self-dual indecomposables, from the explicit residue table."""
     if ell % 2 == 1:
@@ -180,7 +179,7 @@ def maximal_shattering(
     for s in items:
         if s.local_index != ell:
             raise MixedIndex(f"{s} has local index {s.local_index}, not {ell}")
-        if not extended and not (0 < s.width < ell):
+        if not extended and not is_residual(s):
             raise MixedIndex(f"{s} is not residual")
         for shard in maximal_shatter(s):
             counts[q.index_of(shard)] += 1

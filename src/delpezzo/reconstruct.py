@@ -8,7 +8,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from math import ceil
+from typing import Sequence
 
 from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
 from .exactalg import (
@@ -25,17 +26,12 @@ from .quiver import (
     residual_quiver,
 )
 from .singularity import (
-    Basket, Singularity, basket, hyperplane_inverse, residuals_of_index, residue,
+    Basket, Singularity, basket, hyperplane_inverse, is_residual, residuals_of_index, residue,
 )
 
 # reduced pairs allowed to each stage of enumerate_reduced_baskets: the
 # completion of G0 at one local index, and each lift of G0 to a fiber
 PAIR_BUDGET = 5_000_000
-
-
-def _canonical(s: Singularity) -> Singularity:
-    r, a = s.iso_key()
-    return Singularity(r, a)
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +44,7 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
     classes = {s.iso_key() for s in residuals_of_index(ell)}
     pairs = set()
     for key in classes:
-        inv = _canonical(hyperplane_inverse(Singularity(*key))).iso_key()
+        inv = hyperplane_inverse(Singularity(*key)).iso_key()
         if inv not in classes:
             raise RuntimeError(f"the hyperplane inverse {inv} of {key} is not residual")
         pairs.add(frozenset((key, inv)))
@@ -68,9 +64,7 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
 
 @lru_cache(maxsize=None)
 def _inverse_keys(ell: int) -> tuple[tuple, ...]:
-    return tuple(
-        _canonical(hyperplane_inverse(s)).iso_key() for s in res_plus(ell)
-    )
+    return tuple(hyperplane_inverse(s).iso_key() for s in res_plus(ell))
 
 
 @dataclass(frozen=True)
@@ -204,11 +198,9 @@ class FeasibilityReport:
     bodies: dict = field(hash=False, default_factory=dict)
 
 
-def _reduced_bodies(parts: dict) -> tuple[dict, Iterator]:
-    """(the reduced body at each local index of parts, in increasing order,
-    and every choice of one reduced basket per body, as a tuple of
-    (basket, RK^2) pairs in that order); NotRealizable at the first
-    delta-vector outside its delta-lattice."""
+def _reduced_bodies(parts: dict) -> dict:
+    """The reduced body at each local index of parts, in increasing order;
+    NotRealizable at the first delta-vector outside its delta-lattice."""
     bodies = {}
     for ell, dv in sorted(parts.items()):
         body = enumerate_reduced_baskets(ell, dv)
@@ -217,16 +209,16 @@ def _reduced_bodies(parts: dict) -> tuple[dict, Iterator]:
                 f"delta-vector at local index {ell} is outside the delta-lattice"
             )
         bodies[ell] = body
-    return bodies, itertools.product(*[zip(b.baskets, b.per_basket_rk2) for b in bodies.values()])
+    return bodies
 
 
 def analyze_series(h: RationalFunction) -> FeasibilityReport:
     """Assess every combination of per-index reduced baskets against the
     invisible-basket degree budget IK^2 = 12 - K^2 - RK^2."""
     k2, parts = split_series(h)
-    bodies, combos = _reduced_bodies(parts)
+    bodies = _reduced_bodies(parts)
     choices = []
-    for combo in combos:
+    for combo in itertools.product(*[zip(b.baskets, b.per_basket_rk2) for b in bodies.values()]):
         rk2 = sum([a for _, a in combo], Fraction(0))
         ik2 = 12 - k2 - rk2
         feasible = ik2 >= 0 and ik2.denominator == 1
@@ -253,31 +245,29 @@ def degree_bounds(b: Basket, n_min: int = 0) -> tuple[Fraction, Fraction]:
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
     for s in b:
-        if not (0 < s.width < s.local_index):
+        if not is_residual(s):
             raise MixedIndex(f"{s} is not residual")
     a_total = sum((degree_contribution(s) for s in b), Fraction(0))
     big = 12 - a_total - n_min
     if big <= 0:
         raise Infeasible(f"maximum degree {big} is not positive")
-    slack = big - 1 if big.denominator == 1 else big.numerator // big.denominator
-    return big - slack, big
+    # K^2 > 0 and K^2 = M mod 1, so m is M less the largest integer below it
+    return big - (ceil(big) - 1), big
 
 
 def count_bound(q: dict, ell_star: int) -> int:
     """N(Q, l*): a bound on the number of singular points of any del Pezzo
-    orbifold with local indices up to l* and total contributions Q."""
+    orbifold with local indices up to l* and total contributions Q.
+
+    A choice takes one reduced basket per index independently, so the
+    largest total size and the least RK^2 over all choices are the sums of
+    the per-index extremes."""
     if ell_star < 1:
         raise ValueError(f"l* must be positive, got {ell_star}")
-    s_max = 0
-    b_best = None
-    for combo in _reduced_bodies(q)[1]:
-        size = sum(s.width for b, _ in combo for s in b)
-        s_max = max(s_max, size)
-        rk2 = sum([a for _, a in combo], Fraction(0))
-        b_best = rk2 if b_best is None else min(b_best, rk2)
-    budget = 12 - (b_best if b_best is not None else Fraction(0))
-    cap = budget - 1 if budget.denominator == 1 else budget.numerator // budget.denominator
-    return s_max + int(cap) * (ell_star + 1)
+    bodies = _reduced_bodies(q).values()
+    s_max = sum(max(sum(s.width for s in b) for b in body.baskets) for body in bodies)
+    budget = 12 - sum((min(body.per_basket_rk2) for body in bodies), Fraction(0))
+    return s_max + (ceil(budget) - 1) * (ell_star + 1)
 
 
 def psi_invariants(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -20,12 +19,23 @@ from .errors import (
     NotResidual,
     ParseError,
 )
-from .exactalg import cone_determinant
 
 Vec = tuple[int, int]
 
 # the text 1/r(1,a); only the ASCII digits 0-9 make a number
 SINGULARITY_TEXT = re.compile(r"1\s*/\s*([0-9]+)\s*\(\s*1\s*,\s*([0-9]+)\s*\)")
+
+
+def cone_determinant(u: Sequence[int], v: Sequence[int]) -> int:
+    """Oriented determinant under the clockwise ray convention.
+
+    Positive exactly for clockwise-ordered cones such as
+    (e2, r*e1 - a*e2); zero is rejected.
+    """
+    d = u[1] * v[0] - u[0] * v[1]
+    if d == 0:
+        raise DegenerateCone(f"rays {tuple(u)} and {tuple(v)} are dependent")
+    return d
 
 
 @dataclass(frozen=True)
@@ -328,7 +338,6 @@ def basket_pieces(b: Sequence[Singularity]) -> dict[int, Basket]:
     return {ell: basket(part) for ell, part in sorted(out.items())}
 
 
-@lru_cache(maxsize=None)
 def residuals_of_index(ell: int) -> tuple[Singularity, ...]:
     """All residual isomorphism classes of local index ell (canonical reps)."""
     if ell < 3:

@@ -611,12 +611,22 @@ class TestIntegerGcd:
             cases += 1
 
     def test_make_on_cyclotomic_products(self):
+        pairs = []
         for n in range(1, 25):
             for m in range(1, 25):
                 num = poly_sub(poly([0] * n + [1]), (1,))  # t^n - 1
                 den = poly_scale(poly_sub((1,), poly([0] * m + [1])), m)
-                rf = RationalFunction.make(num, den)
-                assert (rf.num, rf.den) == _make_by_euclid(num, den), (n, m)
+                pairs.append(((n, m), num, den))
+        # (7t + 1)(1 - t^n) over m(1 - t^m): the remainder sequence scales by
+        # a non-monic lead coefficient such as -7 raised to the degree gap
+        for n in (1, 2, 3, 5, 8, 13):
+            for m in range(1, 61):
+                num = poly_mul((1, 7), poly_sub((1,), poly([0] * n + [1])))
+                den = poly_scale(poly_sub((1,), poly([0] * m + [1])), m)
+                pairs.append(((7, n, m), num, den))
+        for case, num, den in pairs:
+            rf = RationalFunction.make(num, den)
+            assert (rf.num, rf.den) == _make_by_euclid(num, den), case
 
     def test_gcd_matches_euclid_oracle(self):
         local = random.Random(6262)

@@ -402,6 +402,32 @@ class TestCountBound:
         with pytest.raises(NotRealizable):
             count_bound({5: DeltaVector(5, (1, 1, 1))}, 5)
 
+    def test_multi_index_matches_product_search(self):
+        local = random.Random(4747)
+        for case in range(24):
+            q = {}
+            for ell in local.sample((5, 7, 8, 9, 10, 12), local.randint(2, 3)):
+                # a realizable delta: the sum over one or two residual points
+                points = [local.choice(res_plus(ell)) for _ in range(local.randint(1, 2))]
+                q[ell] = sum((orbifold_contribution(s) for s in points), zero_delta(ell))
+            ell_star = local.randint(1, 30)
+            assert count_bound(q, ell_star) == count_bound_by_search(q, ell_star), (case, q)
+
+
+def count_bound_by_search(q, ell_star):
+    """N(Q, l*) by a search over every choice of one reduced basket per
+    index, for the largest total size and the least RK^2 of a choice."""
+    bodies = [enumerate_reduced_baskets(ell, dv) for ell, dv in sorted(q.items())]
+    s_max = 0
+    b_best = None
+    for combo in itertools.product(*[zip(b.baskets, b.per_basket_rk2) for b in bodies]):
+        s_max = max(s_max, sum(s.width for b, _ in combo for s in b))
+        rk2 = sum([a for _, a in combo], Fraction(0))
+        b_best = rk2 if b_best is None else min(b_best, rk2)
+    budget = 12 - (b_best if b_best is not None else Fraction(0))
+    cap = budget - 1 if budget.denominator == 1 else budget.numerator // budget.denominator
+    return s_max + int(cap) * (ell_star + 1)
+
 
 class TestAnalyzeSeries:
     def test_no_surface_for_large_linear_term(self):
