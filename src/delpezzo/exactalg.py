@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -52,19 +53,25 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly(out)
+    """a*b; a scale, or a shift and a scale, when a factor is a monomial
+    c*t^j, as in every c*t^k term of series text."""
+    if any(a[:-1]):
+        a, b = b, a
+    if any(a[:-1]):  # neither factor is a monomial
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return poly(out)
+    out = [0] * (len(a) - 1) + [a[-1] * x for x in b] if a else []
+    return tuple(out) if out and out[-1] else poly(out)
 
 
 def poly_scale(a: Poly, s) -> Poly:
-    if s == 0:
-        return ()
+    """s*a; a itself when s is 1, as for most steps of the primitive PRS."""
+    if s == 0 or s == 1:
+        return a if s else ()
     return tuple([x * s for x in a])
 
 
@@ -225,17 +232,15 @@ class RationalFunction:
         return Fraction(poly_eval(self.num, x)) / d
 
     def pole_order_at_one(self) -> int:
-        """Order of the pole at t=1 (negative for a zero)."""
-        one_minus_t = (1, -1)
+        """Order of the pole at t=1 (negative for a zero, 0 for the zero
+        function), by synthetic division by t - 1 in integers: the running
+        sums of the coefficients from the top are the quotient's, then p(1)."""
         order = 0
-        d = self.den
-        while d and poly_eval(d, 1) == 0:
-            d = poly_div_exact(d, one_minus_t)
-            order += 1
-        n = self.num
-        while n and poly_eval(n, 1) == 0:
-            n = poly_div_exact(n, one_minus_t)
-            order -= 1
+        for p, sign in ((self.den, 1), (self.num, -1)):
+            sums = list(accumulate(reversed(p)))
+            while sums and not sums[-1]:
+                sums = list(accumulate(sums[:-1]))
+                order += sign
         return order
 
     def series_coefficients(self, count: int) -> list[Fraction]:

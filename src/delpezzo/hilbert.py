@@ -368,10 +368,14 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
                  for ell in frame.parts]
         raise AmbiguousDecomposition(f"decomposition solver has a nontrivial nullspace: "
                                      f"kernel vector K^2={kernel[0]}, {', '.join(named)}")
+    # y over the lcm of its denominators, so that the sums stay in ints
+    scale = lcm(*[v.denominator for v in y])
     solution = [0] * len(U)
     for u, v in zip(U, y):
         if v:
+            v = v.numerator * (scale // v.denominator)
             solution = [a + v * x for a, x in zip(solution, u)]
+    c *= scale
     sums = {ell: [0] * (ell - 2) for ell in frame.parts}
     for (ell, g), x in zip(bases, solution[1:]):
         sums[ell] = [a + x * e for a, e in zip(sums[ell], g)]
@@ -380,7 +384,7 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
         if any(x % c for x in acc):
             raise NonIntegralDelta(f"non-integer delta at index {ell}")
         if any(acc):
-            parts[ell] = DeltaVector(ell, tuple([int(x // c) for x in acc]))
+            parts[ell] = DeltaVector(ell, tuple([x // c for x in acc]))
     return Fraction(solution[0], c), parts
 
 
@@ -442,6 +446,7 @@ def _phi_sieve(bound: int) -> list[int]:
 
 _NESTING_LIMIT = 100
 _EXPONENT_LIMIT = 10_000
+_SIZE_LIMIT = 1 << 24  # bits of a product or power, see _size_check
 _TOKEN = re.compile(r"([0-9]{1,4000})|([-t+*/^()])|(\S)")
 
 
@@ -451,82 +456,102 @@ def parse_rational_function(text: str) -> RationalFunction:
     Grammar: ASCII integer literals of at most 4000 digits (below the
     interpreter's int() limit), `t`, the operators + - * / ^ and
     parentheses.  Nesting past _NESTING_LIMIT (the recursion would exhaust
-    the stack), an exponent past _EXPONENT_LIMIT (t^k is a k-term tuple)
-    and division by zero raise ParseError.  Subexpressions stay unreduced
-    pairs (num, den) over Z[t]; one final RationalFunction.make gives the
-    canonical form that reducing at every node would, as Z[t] is a domain.
+    the stack), an exponent past _EXPONENT_LIMIT, a product or power past
+    _SIZE_LIMIT bits (checked before it is built) and division by zero
+    raise ParseError.  Subexpressions stay unreduced pairs (num, den) over
+    Z[t], and a run of + and - terms adds into one list; one final
+    RationalFunction.make gives the canonical form that reducing at every
+    node would, as Z[t] is a domain.
     """
     tokens = [*_tokenize(text), None]
-    pos = [0, 0]  # next token, parentheses open
 
-    def peek():
-        return tokens[pos[0]]
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ParseError(f"unexpected token {tok!r} in {text!r}")
-        pos[0] += 1
-        return tok
-
-    def parse_expr():
-        num, den = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            n, d = parse_term()
+    # each rule takes the index of its first token and returns (num, den, next index)
+    def expr(i, depth):
+        num, den, i = term(i, depth)
+        op, acc = tokens[i], list(num)
+        while op == "+" or op == "-":
+            n, d, i = term(i + 1, depth)
             if d != den:  # the terms of a polynomial all have den 1
-                num, n, den = poly_mul(num, d), poly_mul(n, den), poly_mul(den, d)
-            num = poly_add(num, n) if op == "+" else poly_sub(num, n)
-        return num, den
+                acc, n, den = list(_product(poly(acc), d, text)), _product(n, den, text), _product(den, d, text)
+            acc += [0] * (len(n) - len(acc))
+            if op == "+":
+                for j, x in enumerate(n):
+                    acc[j] += x
+            else:
+                for j, x in enumerate(n):
+                    acc[j] -= x
+            op = tokens[i]
+        return poly(acc), den, i
 
-    def parse_term():
-        num, den = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            n, d = parse_factor() if op == "*" else parse_factor()[::-1]
-            if not d:  # only a divisor's num can be zero here
-                raise ParseError(f"division by zero in {text!r}")
-            num, den = poly_mul(num, n), poly_mul(den, d)
-        return num, den
+    def term(i, depth):
+        num, den, i = factor(i, depth)
+        op = tokens[i]
+        while op == "*" or op == "/":
+            n, d, i = factor(i + 1, depth)
+            if op == "/":
+                if not n:  # only a divisor's num can be zero here
+                    raise ParseError(f"division by zero in {text!r}")
+                n, d = d, n
+            num, den = _product(num, n, text), _product(den, d, text)
+            op = tokens[i]
+        return num, den, i
 
-    def parse_factor():
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
+    def factor(i, depth):
+        sign, tok = 1, tokens[i]
+        while tok == "+" or tok == "-":
+            if tok == "-":
                 sign = -sign
-        num, den = parse_atom()
-        while peek() == "^":
-            take("^")
-            exp = take()
-            if not isinstance(exp, int) or exp > _EXPONENT_LIMIT:
-                raise ParseError(f"exponent must be an integer 0..{_EXPONENT_LIMIT} in {text!r}")
-            num, den = _poly_pow(num, exp), _poly_pow(den, exp)
-        return (num, den) if sign == 1 else (poly_neg(num), den)
-
-    def parse_atom():
-        tok = peek()
+            i += 1
+            tok = tokens[i]
         if tok == "(":
-            take("(")
-            pos[1] += 1
-            if pos[1] > _NESTING_LIMIT:
+            if depth == _NESTING_LIMIT:
                 raise ParseError(f"parentheses nested deeper than {_NESTING_LIMIT} in {text!r}")
-            node = parse_expr()
-            take(")")
-            pos[1] -= 1
-            return node
-        if tok == "t" or isinstance(tok, int):
-            take()
-            return ((0, 1) if tok == "t" else poly([tok])), (1,)
-        raise ParseError(f"unexpected token {tok!r} in {text!r}")
+            num, den, i = expr(i + 1, depth + 1)
+            if tokens[i] != ")":
+                raise ParseError(f"unexpected token {tokens[i]!r} in {text!r}")
+            i += 1
+        elif tok == "t" or isinstance(tok, int):
+            num, den, i = (0, 1) if tok == "t" else (tok,) if tok else (), (1,), i + 1
+        else:
+            raise ParseError(f"unexpected token {tok!r} in {text!r}")
+        while tokens[i] == "^":
+            exp = tokens[i + 1]
+            if not isinstance(exp, int) or exp > _EXPONENT_LIMIT:
+                if exp is None:
+                    raise ParseError(f"unexpected token None in {text!r}")
+                raise ParseError(f"exponent must be an integer 0..{_EXPONENT_LIMIT} in {text!r}")
+            num, den, i = _power(num, exp, text), _power(den, exp, text), i + 2
+        return (num, den, i) if sign == 1 else (poly_neg(num), den, i)
 
-    num, den = parse_expr()
-    if pos[0] != len(tokens) - 1:
-        raise ParseError(f"trailing input after position {pos[0]} in {text!r}")
+    num, den, i = expr(0, 0)
+    if i != len(tokens) - 1:
+        raise ParseError(f"trailing input after position {i} in {text!r}")
     return RationalFunction.make(num, den)
 
 
-def _poly_pow(p: tuple, k: int) -> tuple:
-    """p^k: c^k t^(jk) at once for a monomial c t^j, else by binary powering."""
+def _size_check(entries: int, bits: int, text: str) -> None:
+    """ParseError unless `entries` coefficients of `bits` bits and a 64-bit pointer each fit."""
+    if entries * (64 + bits) > _SIZE_LIMIT:
+        raise ParseError(f"a product or power past the size bound of {_SIZE_LIMIT} bits in {text!r}")
+
+
+def _product(p: tuple, q: tuple, text: str) -> tuple:
+    """p*q, checked before it is built: |p|_1 * |q|_1 bounds its coefficients."""
+    if p == (1,) or q == (1,):
+        return q if p == (1,) else p
+    if p and q:
+        _size_check(len(p) + len(q) - 1, (sum(map(abs, p)) * sum(map(abs, q))).bit_length(), text)
+    return poly_mul(p, q)
+
+
+def _power(p: tuple, k: int, text: str) -> tuple:
+    """p^k, checked before it is built: c^k t^(jk) at once for a monomial
+    c t^j, else by binary powering.  No coefficient exceeds N^k for
+    N = |p|_1, and N <= 2^bit_length(N - 1)."""
+    if p == (1,):
+        return p
+    if p:
+        _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)
     if p and not any(p[:-1]):
         return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
     out = (1,)

@@ -250,6 +250,8 @@ class TestExitCodes:
             ("analyze", "(1+t)/(t-t^2)"),
             ("analyze", "(1+t\u00b2)/(1-t)^3"),
             ("analyze", "(" * 400 + "t" + ")" * 400),
+            ("analyze", "((t^10000)^10000)^10000"),
+            ("analyze", "((2^10000)^10000)^10000"),
             ("contrib", "1/\u0665(1,\u0661)"),  # Arabic-Indic 5 and 1
             ("residue", "1/\u0665(1,\u0661)"),
             ("contrib", "1/5(1,1)", "--terms", "-2"),

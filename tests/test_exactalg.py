@@ -517,6 +517,102 @@ class TestRationalFunction:
         assert a.series_coefficients(8) == b.series_coefficients(8)
 
 
+def _mul_schoolbook(a, b):
+    """The product by the double loop over all coefficient pairs, kept as
+    the oracle of poly_mul's scale and shift paths."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly(out)
+
+
+def _pole_order_by_division(rf):
+    """The earlier pole_order_at_one, which divides by 1 - t while the value
+    at 1 is zero, kept as the oracle of the synthetic division."""
+    one_minus_t = (1, -1)
+    order = 0
+    d = rf.den
+    while d and poly_eval(d, 1) == 0:
+        d = poly_div_exact(d, one_minus_t)
+        order += 1
+    n = rf.num
+    while n and poly_eval(n, 1) == 0:
+        n = poly_div_exact(n, one_minus_t)
+        order -= 1
+    return order
+
+
+class TestKernelOracles:
+    def test_poly_mul_matches_schoolbook(self):
+        """Constant, monomial and zero factors on either side, general
+        factors, and Fraction coefficients."""
+        local = random.Random(1616)
+        for _ in range(600):
+            a = poly([local.randint(-9, 9) for _ in range(local.randint(0, 7))])
+            c = local.choice((1, -1, 2, -7, 12, Fraction(3, 4), 10**30))
+            b = local.choice((
+                (c,),
+                (0,) * local.randint(1, 6) + (c,),
+                (),
+                poly([local.randint(-9, 9) for _ in range(local.randint(0, 7))]),
+            ))
+            for x, y in ((a, b), (b, a), (b, b)):
+                got = poly_mul(x, y)
+                assert got == _mul_schoolbook(x, y), (x, y)
+                assert not got or got[-1] != 0
+
+    def test_pole_order_matches_division_loop(self):
+        """Products of cyclotomics over random numerators, numerators that
+        vanish at 1 (negative orders) and the zero numerator."""
+        local = random.Random(1717)
+        orders = set()
+        for _ in range(400):
+            den = poly_scale((1,), local.choice((1, -1, 3, 12)))
+            for _ in range(local.randint(0, 5)):
+                den = poly_mul(den, cyclotomic(local.choice((1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 18))))
+            num = poly([local.randint(-5, 5) for _ in range(local.randint(0, 6))])
+            kind = local.random()
+            if kind < 0.4:
+                for _ in range(local.randint(1, 4)):
+                    num = poly_mul(num or (1,), (1, -1))
+            elif kind < 0.5:
+                num = ()
+            for rf in (RationalFunction(num, den), RationalFunction.make(num, den)):
+                assert rf.pole_order_at_one() == _pole_order_by_division(rf), rf
+                orders.add(rf.pole_order_at_one())
+        assert min(orders) < 0 < max(orders)
+
+    def test_make_matches_sympy_cancel(self):
+        """make on pairs with planted common factors and Fraction
+        coefficients against sympy.cancel, brought to the canonical form:
+        integer parts of coprime contents, lowest den coefficient positive."""
+        import sympy
+
+        t = sympy.Symbol("t")
+
+        def as_expr(p):
+            return sum((sympy.Rational(x.numerator, x.denominator) * t**i
+                        for i, x in enumerate(map(Fraction, p))), sympy.Integer(0))
+
+        local = random.Random(1818)
+        cases = 0
+        while cases < 150:
+            num, den = _rand_pair(local)
+            if not den:
+                continue
+            n, d = sympy.fraction(sympy.cancel(as_expr(num) / as_expr(den)))
+            n, d = ([Fraction(int(c.p), int(c.q)) for c in sympy.Poly(e, t).all_coeffs()[::-1]] for e in (n, d))
+            scale = 1
+            for x in n + d:
+                scale = scale * x.denominator // gcd(scale, x.denominator)
+            n, d = poly([int(x * scale) for x in n]), poly([int(x * scale) for x in d])
+            g = gcd(poly_content(n), poly_content(d)) * (1 if next(x for x in d if x) > 0 else -1)
+            rf = RationalFunction.make(num, den)
+            assert (rf.num, rf.den) == (tuple(x // g for x in n), tuple(x // g for x in d)), (num, den)
+            cases += 1
+
+
 # ---------------------------------------------------------------------------
 # the Euclidean kernels over Q that the integer ones replaced, kept as oracles
 

@@ -32,6 +32,7 @@ from delpezzo import (
     split_series,
 )
 from delpezzo import exactalg, hilbert, quiver, reconstruct
+from delpezzo.cli import fmt_rational_function
 from delpezzo.errors import (
     AmbiguousDecomposition,
     DelPezzoError,
@@ -964,6 +965,87 @@ class TestParser:
     def test_division_by_zero_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="division by zero"):
             parse_rational_function(text)
+
+    # the refusal of each malformed text, byte for byte as the parser gave
+    # it before its single-index rewrite
+    REFUSALS = [
+        ("", "empty input"),
+        ("   ", "empty input"),
+        ("1+", "unexpected token None in '1+'"),
+        ("(1/t", "unexpected token None in '(1/t'"),
+        ("t^-1", "exponent must be an integer 0..10000 in 't^-1'"),
+        ("t**2", "unexpected token '*' in 't**2'"),
+        ("2t", "trailing input after position 1 in '2t'"),
+        ("(1 2)", "unexpected token 2 in '(1 2)'"),
+        ("t)", "trailing input after position 1 in 't)'"),
+        ("((t)", "unexpected token None in '((t)'"),
+        ("*t", "unexpected token '*' in '*t'"),
+        ("t^", "unexpected token None in 't^'"),
+        ("t^t", "exponent must be an integer 0..10000 in 't^t'"),
+        ("t^(2)", "exponent must be an integer 0..10000 in 't^(2)'"),
+        ("t/", "unexpected token None in 't/'"),
+        ("()", "unexpected token ')' in '()'"),
+        ("t^2^", "unexpected token None in 't^2^'"),
+        ("2*(1 + t)/(1 - t", "unexpected token None in '2*(1 + t)/(1 - t'"),
+        ("x", "unexpected character 'x' in 'x'"),
+        ("1/(t-t)", "division by zero in '1/(t-t)'"),
+        ("(1+\u0663*t)/(1-t)^3", "unexpected character '\u0663' in '(1+\u0663*t)/(1-t)^3'"),
+        ("t^99999", "exponent must be an integer 0..10000 in 't^99999'"),
+        ("1" * 4001, f"trailing input after position 1 in {'1' * 4001!r}"),
+        ("(" * 101 + "t" + ")" * 101, f"parentheses nested deeper than 100 in {'(' * 101 + 't' + ')' * 101!r}"),
+    ]
+
+    @pytest.mark.parametrize("text, message", REFUSALS, ids=range(len(REFUSALS)))
+    def test_refusal_messages_are_pinned(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_rational_function(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, most_bytes",
+        [
+            ("((t^10000)^10000)^10000", 1 << 20),
+            ("((2^10000)^10000)^10000", 1 << 20),
+            ("(t^10000)^100", 1 << 20),
+            ("(t^10000)^20*(t^10000)^20", 1 << 23),  # builds its two factors only
+        ],
+    )
+    def test_size_bound_refuses_before_building(self, text, most_bytes):
+        """A product or power past _SIZE_LIMIT is refused before it is
+        built, so parsing allocates no more than the operands before it."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_rational_function(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"a product or power past the size bound of {1 << 24} bits in {text!r}"
+        assert peak < most_bytes, peak
+
+    def rendered_series(self, local, count):
+        """The text the CLI prints for assembled series of 1-3 random points
+        with r <= 60 and random K^2, and each series."""
+        for _ in range(count):
+            points = []
+            while len(points) < local.randint(1, 3):
+                r, a = local.randint(2, 60), local.randint(1, 59)
+                if a < r and gcd(r, a) == 1:
+                    points.append(Singularity(r, a))
+            h = assemble_series(basket(points), Fraction(local.randint(1, 60), local.randint(1, 12))).series
+            yield fmt_rational_function(h), h
+
+    def test_rendered_series_parse_back(self):
+        for text, h in self.rendered_series(random.Random(16016), 150):
+            assert parse_rational_function(text) == h, text
+
+    def test_rejected_shapes_match_reduction(self):
+        """The benchmark's not-a-surface texts, a rendered series times 2 or
+        times 1 - t, against the parser that reduces at every node."""
+        for text, _ in self.rendered_series(random.Random(16017), 60):
+            for shaped in (f"2*{text}", f"(1 - t)*{text}"):
+                got, expected = parse_rational_function(shaped), _parse_by_reduction(shaped)
+                assert (got.num, got.den) == (expected.num, expected.den), shaped
 
     def test_matches_reduction_at_every_node(self):
         """The unreduced Z[t] pairs give the canonical form that reducing
