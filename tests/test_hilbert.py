@@ -966,8 +966,7 @@ class TestParser:
         with pytest.raises(ParseError, match="division by zero"):
             parse_rational_function(text)
 
-    # the refusal of each malformed text, byte for byte as the parser gave
-    # it before its single-index rewrite
+    # malformed texts and their refusals, pinned byte for byte
     REFUSALS = [
         ("", "empty input"),
         ("   ", "empty input"),
@@ -1027,8 +1026,8 @@ class TestParser:
         """The text the CLI prints for assembled series of 1-3 random points
         with r <= 60 and random K^2, and each series."""
         for _ in range(count):
-            points = []
-            while len(points) < local.randint(1, 3):
+            points, size = [], local.randint(1, 3)
+            while len(points) < size:
                 r, a = local.randint(2, 60), local.randint(1, 59)
                 if a < r and gcd(r, a) == 1:
                     points.append(Singularity(r, a))
