@@ -160,7 +160,8 @@ def schema(
     }
 
 
-def emit(args, payload: dict, lines: list) -> None:
+def emit(args, payload: dict | None, lines: list) -> None:
+    """The payload as JSON under --json, else the lines (payload may then be None)."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -266,7 +267,7 @@ def cmd_reduce(args) -> int:
         result.per_basket_rk2,
         "OK",
         _bounds_or_none(result.baskets),
-    )
+    ) if args.json else None
     emit(args, payload, lines)
     return 0
 
@@ -288,15 +289,17 @@ def cmd_analyze(args) -> int:
         lines.append("toric=IMPOSSIBLE")
     if args.terms:
         lines.append(fmt_terms(h, args.terms))
-    indices = sorted(report.bodies)
-    payload = schema(
-        indices[0] if len(indices) == 1 else 0,
-        report.bodies[indices[0]].delta.entries if len(indices) == 1 else (),
-        baskets,
-        [c.rk_squared for c in report.per_choice],
-        verdict,
-        _bounds_or_none([b for c, b in zip(report.per_choice, baskets) if c.verdict == "Feasible"]),
-    )
+    payload = None
+    if args.json:  # the text output needs no payload and no degree bounds
+        indices = sorted(report.bodies)
+        payload = schema(
+            indices[0] if len(indices) == 1 else 0,
+            report.bodies[indices[0]].delta.entries if len(indices) == 1 else (),
+            baskets,
+            [c.rk_squared for c in report.per_choice],
+            verdict,
+            _bounds_or_none([b for c, b in zip(report.per_choice, baskets) if c.verdict == "Feasible"]),
+        )
     emit(args, payload, lines)
     return 0
 

@@ -98,7 +98,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             quo[i - db] = c
             for j, y in enumerate(b):
                 rem[i - db + j] -= c * y
-    return poly(quo), poly(rem)
+    return poly(quo), poly(rem[:db])  # rem[db:] is zero by construction
 
 
 def poly_div_exact(a: Poly, b: Poly) -> Poly:
@@ -106,6 +106,26 @@ def poly_div_exact(a: Poly, b: Poly) -> Poly:
     if r:
         raise ValueError("division is not exact")
     return q
+
+
+def poly_mul_binomial(a: Poly, d: int) -> Poly:
+    """a*(1 - t^d) for d >= 1, in one pass."""
+    out = [*a, *[0] * d] if a else []
+    for i, x in enumerate(a):
+        out[i + d] -= x
+    return tuple(out)
+
+
+def poly_div_binomial(a: Poly, d: int) -> Poly:
+    """a/(1 - t^d) for d >= 1 by running sums q[i] = a[i] + q[i-d]: the
+    series of the quotient, which is a polynomial exactly when its last d
+    terms up to deg a vanish; ValueError when the division is inexact."""
+    s = list(a)
+    for i in range(d, len(s)):
+        s[i] += s[i - d]
+    if any(s[max(0, len(s) - d):]):
+        raise ValueError("division is not exact")
+    return tuple(s[:len(s) - d])
 
 
 def poly_primitive(a: Poly) -> Poly:
@@ -157,13 +177,19 @@ def poly_to_int(a: Poly) -> tuple[Poly, int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division; dividing by the
-    monic Phi_d keeps every coefficient an int."""
-    num = poly_sub(poly([0] * n + [1]), (1,))  # t^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = poly_div_exact(num, cyclotomic(d))
-    return num
+    """The n-th cyclotomic polynomial, prod over d | n of (1 - t^d)^mu(n/d)
+    and negated at n = 1: the d with mu(n/d) = +1 or -1 are n over a product
+    of an even or odd number of the distinct primes of n."""
+    primes = [p for p in range(2, n + 1) if not n % p and all(p % q for q in range(2, p))]
+    even, odd = [n], []
+    for p in primes:
+        even, odd = even + [d // p for d in odd], odd + [d // p for d in even]
+    out = (1,)
+    for d in even:
+        out = poly_mul_binomial(out, d)
+    for d in odd:  # every partial quotient is Phi_n times the binomials left
+        out = poly_div_binomial(out, d)
+    return poly_neg(out) if n == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ from .exactalg import (
     poly,
     poly_add,
     poly_content,
+    poly_div_binomial,
     poly_div_exact,
     poly_divmod,
     poly_mul,
+    poly_mul_binomial,
     poly_neg,
     poly_primitive,
     poly_scale,
@@ -275,14 +277,14 @@ class _Frame:
 
     def __init__(self, candidates: tuple):
         self.orders = sorted({n for ell in candidates for n in range(2, ell + 1) if ell % n == 0})
-        cube = self.den = (1, -3, 3, -1)
+        self.den = (1, -3, 3, -1)
         for n in self.orders:
             self.den = poly_mul(self.den, cyclotomic(n))
         self.lcm = lcm(*candidates)
-        self.geometric = poly_scale(poly_div_exact(self.den, (1, -1)), self.lcm)
-        self.degree = poly_scale((0, *poly_div_exact(self.den, cube)), self.lcm)
-        self.parts = {ell: poly_scale(poly_div_exact(self.den, (1, *[0] * (ell - 1), -1)), self.lcm // ell)
-                      for ell in candidates}
+        geometric = poly_div_binomial(self.den, 1)
+        self.geometric = poly_scale(geometric, self.lcm)
+        self.degree = poly_scale((0, *poly_div_binomial(poly_div_binomial(geometric, 1), 1)), self.lcm)
+        self.parts = {ell: poly_scale(poly_div_binomial(self.den, ell), self.lcm // ell) for ell in candidates}
 
     @cached_property
     def system(self) -> tuple[tuple, list]:
@@ -393,32 +395,51 @@ def _candidate_indices(den: Sequence) -> list[int]:
     factor of den; den must be a product of cyclotomic polynomials times
     its content, else NotASurfaceSeries.
 
-    Each Phi_n with phi(n) at most the degree left is divided out for as
-    long as it divides, until den is a unit.  No nonzero element of the
-    delta-lattice vanishes at the primitive l-th roots of unity, so an index
-    whose multiples carry no part keeps Phi_l in den; every index with a
-    part divides such an index, hence the closure under divisors.
+    The primitive P = den/content, of degree D and signed so that P(0) = 1,
+    is peeled into binomials.  From A = B = 1, step m = 1, 2, ... sets
+    c_m = -[t^m](P*B - A) and multiplies A by (1 - t^m)^c_m if c_m > 0, or
+    B by (1 - t^m)^-c_m if c_m < 0.  After step m, P*B = A mod t^(m+1): as
+    P(0) = A(0) = 1, the new factor adds c_m t^m to P*B - A = O(t^m) and no
+    lower term.  At the first m >= max(deg A, D + deg B), where the scan
+    stops, both sides have degree at most m, so P*B = A and
+    P = prod (1 - t^d)^c_d = prod Phi_n^e_n with e_n the sum of c_d over the
+    multiples d of n (Moebius inversion of Phi_n = prod over d | n of
+    (1 - t^d)^mu(n/d), up to sign).  The n with e_n != 0 and the d with
+    c_d != 0 have the same divisors: c_d != 0 needs an e_n != 0 at a
+    multiple n of d, and e_n != 0 a c_d != 0 at a multiple d of n.
+    Conversely, if P = prod Phi_n^e_n, each d with c_d != 0 divides an n
+    with phi(n) <= D, so d < _scan_bound(D) = D*b; |c_d| <= sum of e_n over
+    the multiples n of d <= D/phi(d) <= D/max(1, sqrt(d/2)); and deg A +
+    deg B = sum d*|c_d| <= sum e_n psi(n) < D*b^2, as psi(n), the sum of the
+    d | n with n/d squarefree, is at most phi(n)(n/phi(n))^2 < phi(n) b^2.
+    A c_m past any of these bounds raises NotASurfaceSeries, so a factor off
+    the unit circle, whose c_m grow geometrically, is refused early.
+
+    No nonzero element of the delta-lattice vanishes at the primitive l-th
+    roots of unity, so an index whose multiples carry no part keeps Phi_l
+    in den; every index with a part divides such an index, hence the
+    closure under divisors.
     """
     den = poly_primitive(poly(den))
     if abs(den[0]) != 1 or abs(den[-1]) != 1:
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
-    bound = _scan_bound(len(den) - 1)
-    phi = _phi_sieve(bound)
-    orders = []
-    for n in range(1, bound):
-        if len(den) == 1:
-            break
-        if phi[n] >= len(den):
-            continue
-        quotient, rest = poly_divmod(den, cyclotomic(n))
-        if not rest:
-            orders.append(n)
-        while not rest:
-            den = quotient
-            quotient, rest = poly_divmod(den, cyclotomic(n))
-    if len(den) != 1:
-        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
-    return list(_divisor_closure(orders))
+    degree, bound = len(den) - 1, _scan_bound(len(den) - 1)
+    pb = den if den[0] == 1 else poly_neg(den)  # P*B, with B = 1 so far
+    a, peeled, m, width = (1,), [], 0, 0
+    while m < max(len(a), len(pb)) - 1:
+        m += 1
+        c = (a[m] if m < len(a) else 0) - (pb[m] if m < len(pb) else 0)
+        if c:
+            width += m * abs(c)  # deg A + deg B
+            if m >= bound or c * c * max(m, 2) > 2 * degree * degree or width * degree > bound * bound:
+                raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+            peeled.append(m)
+            for _ in range(abs(c)):
+                if c > 0:
+                    a = poly_mul_binomial(a, m)
+                else:
+                    pb = poly_mul_binomial(pb, m)
+    return list(_divisor_closure(peeled))
 
 
 def _scan_bound(d: int) -> int:
@@ -429,16 +450,6 @@ def _scan_bound(d: int) -> int:
     while 1 << (b - 1) < d * (b + 1):
         b += 1
     return d * b
-
-
-def _phi_sieve(bound: int) -> list[int]:
-    """Euler's phi(n) for n = 0..bound, by a sieve over the primes."""
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:
-            for m in range(p, bound + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ from delpezzo.exactalg import (
     poly,
     poly_add,
     poly_content,
+    poly_div_binomial,
     poly_div_exact,
     poly_divmod,
     poly_eval,
     poly_gcd_primitive,
     poly_mul,
+    poly_mul_binomial,
     poly_neg,
     poly_scale,
     poly_sub,
@@ -182,6 +184,31 @@ class TestPolyRing:
                 _, rg = poly_divmod(g, g0)
                 assert not rg or deg(g) >= deg(g0)
 
+    def test_binomial_kernels_match_the_general_ones(self):
+        """a*(1 - t^d) against poly_mul, and a/(1 - t^d) against poly_divmod:
+        exact on every product, ValueError whenever the remainder is not
+        zero, over ints and Fractions."""
+        inexact = 0
+        for _ in range(400):
+            d = rng.randint(1, 9)
+            binomial = (1, *[0] * (d - 1), -1)
+            a = rand_poly(max_deg=12)
+            if rng.random() < 0.25:
+                a = poly([Fraction(x, rng.randint(1, 4)) for x in a])
+            assert poly_mul_binomial(a, d) == poly_mul(a, binomial)
+            assert poly_div_binomial(poly_mul(a, binomial), d) == a
+            q, r = poly_divmod(a, binomial)
+            if r:
+                inexact += 1
+                with pytest.raises(ValueError, match="not exact"):
+                    poly_div_binomial(a, d)
+            else:
+                assert poly_div_binomial(a, d) == q
+        assert inexact > 300
+        assert poly_mul_binomial((), 3) == poly_div_binomial((), 3) == ()
+        with pytest.raises(ValueError):
+            poly_div_binomial((1, -1), 2)  # deg a < d
+
     def test_content_and_to_int(self):
         p = poly([Fraction(2, 3), Fraction(4, 3)])
         prim, scale = poly_to_int(p)
@@ -198,6 +225,18 @@ class TestCyclotomic:
                     prod = poly_mul(prod, cyclotomic(d))
             expect = poly([-1] + [0] * (n - 1) + [1])
             assert prod == expect, n
+
+    def test_is_t_pow_n_minus_one_over_its_proper_factors(self):
+        """Phi_n = (t^n - 1)/prod of Phi_d over d | n, d < n, by long
+        division, for n <= 300; by induction from n = 1 every value is
+        checked against the definition."""
+        for n in range(1, 301):
+            num = poly([-1] + [0] * (n - 1) + [1])
+            for d in range(1, n):
+                if n % d == 0:
+                    num, rest = poly_divmod(num, cyclotomic(d))
+                    assert not rest, (n, d)
+            assert cyclotomic(n) == num, n
 
     def test_known_small_values(self):
         assert cyclotomic(1) == poly([-1, 1])

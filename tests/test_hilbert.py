@@ -6,12 +6,14 @@ root-of-unity sum (mpmath) and an exact polynomial-inverse route working
 modulo 1 + t + ... + t^(r-1).
 """
 
+import importlib.util
 import random
 import re
 import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -56,9 +58,9 @@ from delpezzo.exactalg import (
 )
 from delpezzo.hilbert import (
     _candidate_indices,
+    _divisor_closure,
     _floor_sum,
     _frame,
-    _phi_sieve,
     _scan_bound,
     basket_contributions,
     zero_delta,
@@ -769,8 +771,62 @@ class TestWorkPins:
         assert rf == _parse_by_reduction(text)
 
 
+def _phi_sieve(bound: int) -> list[int]:
+    """Euler's phi(n) for n = 0..bound, by a sieve over the primes."""
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for m in range(p, bound + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
+
+
+def _candidates_by_division(den) -> list[int]:
+    """The trial division that the binomial peel replaced, kept as its
+    oracle: each Phi_n with phi(n) at most the degree left is divided out
+    for as long as it divides, until den is a unit."""
+    den = poly_primitive(poly(den))
+    if abs(den[0]) != 1 or abs(den[-1]) != 1:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    bound = _scan_bound(len(den) - 1)
+    phi = _phi_sieve(bound)
+    orders = []
+    for n in range(1, bound):
+        if len(den) == 1:
+            break
+        if phi[n] >= len(den):
+            continue
+        quotient, rest = poly_divmod(den, cyclotomic(n))
+        if not rest:
+            orders.append(n)
+        while not rest:
+            den = quotient
+            quotient, rest = poly_divmod(den, cyclotomic(n))
+    if len(den) != 1:
+        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    return list(_divisor_closure(orders))
+
+
+def _workload_denominators() -> set:
+    """The denominators of every series of analyze_text and series_roundtrip
+    at seed 1, drawn as perfbench/run.py draws them (4 and 150 rounds)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    dens = set()
+    rounds, _ = workloads.AnalyzeText().generate(random.Random("analyze_text:1"), 4)
+    for op in (op for ops in rounds for op in ops):
+        dens.add(parse_rational_function(op["text"]).den)
+    rounds, _ = workloads.SeriesRoundtrip().generate(random.Random("series_roundtrip:1"), 150)
+    for op in (op for ops in rounds for op in ops):
+        dens.add(assemble_series(basket([Singularity(*p) for p in op["points"]]), op["k2"]).series.den)
+    return dens
+
+
 class TestCandidateIndices:
-    """_candidate_indices strips cyclotomic factors exactly."""
+    """_candidate_indices peels binomials 1 - t^m off the denominator; its
+    orders are those of trial division by every Phi_n."""
 
     def test_divisors_of_the_orders_found(self):
         den = poly_mul(cyclotomic(1), poly_mul(cyclotomic(12), cyclotomic(5)))
@@ -780,6 +836,60 @@ class TestCandidateIndices:
     def test_non_cyclotomic_denominators_raise(self, den):
         with pytest.raises(NotASurfaceSeries):
             _candidate_indices(poly_mul(cyclotomic(7), den))
+
+    def test_peel_matches_trial_division_on_random_products(self):
+        """3,000 products of Phi_n, n < 40, with a content and a sign; one in
+        five also has a random factor with unit ends, which is mostly not
+        cyclotomic."""
+        local = random.Random(17)
+        rejected = 0
+        for _ in range(3000):
+            den = (local.choice((1, -1)) * local.randint(1, 6),)
+            for _ in range(local.randint(0, 6)):
+                den = poly_mul(den, cyclotomic(local.randrange(1, 40)))
+            if local.random() < 0.2:
+                extra = [local.choice((1, -1))] + [local.randint(-2, 2) for _ in range(local.randint(0, 5))]
+                den = poly_mul(den, (*extra, local.choice((1, -1))))
+            got, want = _outcome(_candidate_indices, den), _outcome(_candidates_by_division, den)
+            assert got == want, den
+            rejected += got is NotASurfaceSeries
+        assert 300 < rejected < 600
+
+    def test_peel_matches_trial_division_on_workload_denominators(self):
+        dens = _workload_denominators()
+        assert len(dens) > 500
+        for den in dens:
+            assert _candidate_indices(den) == _candidates_by_division(den), den
+
+    def test_high_degree_binomial_takes_milliseconds(self):
+        """(1 - t)^2 (1 - t^2000): the 18 divisors >= 3 of 2000, from two
+        nonzero exponents, where trial division made one long division of the
+        degree-2002 denominator for every n < 2000 with phi(n) below the
+        degree.  The split of this series stays slow in _Frame.system's
+        echelon form."""
+        den = poly_mul((1, -2, 1), (1, *[0] * 1999, -1))
+        start = time.perf_counter()
+        got = _candidate_indices(den)
+        assert time.perf_counter() - start < 1.0
+        assert got == [d for d in range(3, 2001) if 2000 % d == 0] and len(got) == 18
+
+    @pytest.mark.parametrize("den", [
+        (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),
+        (1, -1, *[0] * 98, -1),
+    ])
+    def test_non_cyclotomic_factors_raise_quickly(self, den):
+        """A non-cyclotomic factor makes the exponents c_m grow
+        geometrically: Lehmer's polynomial fast, 1 - t - t^100 (a root of
+        modulus about 1 - log(100)/100) slowly, from m = 100 on.  A c_m past
+        D/phi(m), or deg A + deg B past D*b^2, raises long before A and B
+        reach the degree the scan would stop at; without the second bound
+        the second case takes several seconds."""
+        for n in (12, 30, 35, 36, 39, 39):
+            den = poly_mul(den, cyclotomic(n))
+        start = time.perf_counter()
+        with pytest.raises(NotASurfaceSeries, match="non-cyclotomic"):
+            _candidate_indices(den)
+        assert time.perf_counter() - start < 1.5
 
     def test_scan_bound_holds_for_every_degree_up_to_600(self):
         """Every n with phi(n) <= d lies below _scan_bound(d); phi(n) >=
@@ -796,8 +906,8 @@ class TestCandidateIndices:
 
     def test_lehmer_cubed_raises_quickly(self):
         """Lehmer's polynomial has unit end coefficients and no cyclotomic
-        factor; only the phi(n) <= degree skip keeps the scan up to n = 300
-        from building every Phi_n."""
+        factor, so the exponents peeled off its cube grow until one passes
+        its bound."""
         lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
         den = poly_mul(lehmer, poly_mul(lehmer, lehmer))
         h = initial_term(Fraction(3)) + RationalFunction.make((0, 1), den)
