@@ -24,7 +24,6 @@ from .quiver import (
     delta_lattice,
     indecomposables,
     maximal_shattering,
-    regroupings,
     residual_quiver,
     self_duals,
 )

@@ -557,21 +557,27 @@ def _product(p: tuple, q: tuple, text: str) -> tuple:
 
 def _power(p: tuple, k: int, text: str) -> tuple:
     """p^k, checked before it is built: c^k t^(jk) at once for a monomial
-    c t^j, else by binary powering.  No coefficient exceeds N^k for
-    N = |p|_1, and N <= 2^bit_length(N - 1)."""
+    c t^j, else by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7) on p = t^s (p_0 + ... + p_n t^n), p_0 != 0: q = (p/t^s)^k has
+    q_0 = p_0^k and m p_0 q_m = sum_{j=1..min(m,n)} ((k+1)j - m) p_j q_(m-j),
+    a division that is exact in integers.  The sum runs over the nonzero
+    p_j only, so a base with w of them takes O(w n k) steps.  No
+    coefficient exceeds N^k for N = |p|_1, and N <= 2^bit_length(N - 1)."""
     if p == (1,):
         return p
-    if p:
-        _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)
-    if p and not any(p[:-1]):
+    if not p:
+        return p if k else (1,)
+    _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)
+    if not any(p[:-1]):
         return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
-    out = (1,)
-    while k:
-        if k & 1:
-            out = poly_mul(out, p)
-        k >>= 1
-        p = poly_mul(p, p) if k else p
-    return out
+    s = next(i for i, x in enumerate(p) if x)
+    p = p[s:]
+    terms = [(j, x) for j, x in enumerate(p) if x and j]
+    q = [p[0] ** k]
+    for m in range(1, (len(p) - 1) * k + 1):
+        total = sum([((k + 1) * j - m) * x * q[m - j] for j, x in terms if j <= m])
+        q.append(total // (m * p[0]))
+    return (0,) * (s * k) + tuple(q)
 
 
 def _tokenize(text: str) -> list:

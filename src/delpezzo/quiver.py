@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityExceeded, MixedIndex
+from .errors import MixedIndex
 from .exactalg import int_rank, _column_echelon
 from .hilbert import orbifold_contribution
 from .singularity import (
@@ -139,18 +139,6 @@ class IndecMultiset:
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
 
-    def __add__(self, other: "IndecMultiset") -> "IndecMultiset":
-        if self.local_index != other.local_index:
-            raise MixedIndex("local indices differ")
-        return IndecMultiset(
-            self.local_index,
-            tuple([a + b for a, b in zip(self.counts, other.counts)]),
-        )
-
-    @property
-    def size(self) -> int:
-        return sum(self.counts)
-
     def pair_counts(self) -> tuple:
         """Counts per isomorphism class, in the quiver's pair order."""
         n = len(self.counts)
@@ -184,94 +172,6 @@ def maximal_shattering(
         for shard in maximal_shatter(s):
             counts[q.index_of(shard)] += 1
     return IndecMultiset(ell, tuple(counts))
-
-
-# ---------------------------------------------------------------------------
-# regrouping arcs
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A contiguous walk in the quiver cycle, glued to a single singularity."""
-
-    start: int
-    length: int
-    glued: Singularity
-    consumption: tuple  # per-vertex usage
-
-
-@lru_cache(maxsize=None)
-def _arc_types(ell: int, max_length: int) -> tuple[Arc, ...]:
-    q = residual_quiver(ell)
-    n = len(q.vertices)
-    out = []
-    for start in range(n):
-        for length in range(1, max_length + 1):
-            chain = [q.vertices[(start + j) % n] for j in range(length)]
-            glued = hyperplane_sum_chain(chain)
-            if glued is None:
-                break
-            cons = [0] * n
-            for j in range(length):
-                cons[(start + j) % n] += 1
-            out.append(Arc(start, length, glued, tuple(cons)))
-    return tuple(out)
-
-
-# search nodes allowed to one regroupings call
-NODE_BUDGET = 2_000_000
-
-
-def regroupings(m: IndecMultiset) -> list[Basket]:
-    """All baskets whose maximal shattering equals m.
-
-    Parts are glued arcs of the quiver cycle; wrapping arcs produce
-    T-singularities.  The search may visit NODE_BUDGET nodes; reaching it
-    raises CapacityExceeded rather than returning a partial list.
-    """
-    ell = m.local_index
-    q = residual_quiver(ell)
-    n = len(q.vertices)
-    if n == 0 or m.size == 0:
-        return [()] if m.size == 0 else []
-    arcs = [a for a in _arc_types(ell, m.size) if _fits(a.consumption, m.counts)]
-    found: dict[tuple, Basket] = {}
-    visited = [0]
-
-    def rec(idx: int, remaining: list[int], parts: list[Singularity]) -> None:
-        if visited[0] >= NODE_BUDGET:
-            raise CapacityExceeded(
-                f"regrouping enumeration hit the node cap {NODE_BUDGET}: "
-                f"{visited[0]} nodes visited, {len(found)} distinct baskets found"
-            )
-        visited[0] += 1
-        if all(x == 0 for x in remaining):
-            b = basket(parts)
-            found.setdefault(tuple((s.r, s.a) for s in b), b)
-            return
-        if idx == len(arcs):
-            return
-        arc = arcs[idx]
-        max_mult = min(
-            (rem // c for rem, c in zip(remaining, arc.consumption) if c),
-            default=0,
-        )
-        # try multiplicities high to low so the zero branch comes last
-        for mult in range(max_mult, -1, -1):
-            if mult:
-                new_remaining = [
-                    rem - mult * c for rem, c in zip(remaining, arc.consumption)
-                ]
-                rec(idx + 1, new_remaining, parts + [arc.glued] * mult)
-            else:
-                rec(idx + 1, list(remaining), list(parts))
-
-    rec(0, list(m.counts), [])
-    return [found[k] for k in sorted(found)]
-
-
-def _fits(consumption: Sequence[int], pool: Sequence[int]) -> bool:
-    return all(c <= p for c, p in zip(consumption, pool))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import mpmath
@@ -762,9 +762,10 @@ class TestWorkPins:
         [("t^500", 0), ("(3*t^2)^500", 2), ("(1+t)^500", 2 * 9), ("(1-t)^500/(1+t)^3", 2 * 9 + 2 * 2 + 1)],
     )
     def test_powers_take_logarithmically_many_products(self, monkeypatch, text, most):
-        """A monomial base c*t^j is raised at once; any other by binary
-        powering, at most two products per bit of the exponent.  `most` also
-        counts the products that build the base and join the quotient."""
+        """A monomial base c*t^j is raised at once; any other by Miller's
+        recurrence, which forms no product, so the count stays within two
+        products per bit of the exponent.  `most` also counts the products
+        that build the base and join the quotient."""
         muls = self.counter(monkeypatch, hilbert, "poly_mul")
         rf = parse_rational_function(text)
         assert muls[0] <= most
@@ -1176,6 +1177,44 @@ class TestParser:
             got = parse_rational_function(text)
             assert (got.num, got.den) == (expected.num, expected.den), text
         assert 0 < errors < 1000
+
+
+def _power_by_squaring(p, k):
+    """The binary powering that Miller's recurrence replaced in
+    hilbert._power, kept as its oracle."""
+    out = (1,)
+    while k:
+        if k & 1:
+            out = poly_mul(out, p)
+        k >>= 1
+        p = poly_mul(p, p) if k else p
+    return out
+
+
+class TestPower:
+    def test_matches_binary_powering(self):
+        """The zero, constant, monomial and sparse bases and seeded random ones,
+        with p(0) = 0 or not and either sign at both ends, each at the
+        exponents 0, 1, 2 and one larger."""
+        local = random.Random(20261019)
+        bases = [(), (1,), (-1,), (0, 0, 5), (-2, 3), (0, 1, 1), (0, 3, 0, 0, -2)]
+        for _ in range(400):
+            low = [0] * local.choice((0, 0, 1, 3))
+            bases.append(poly(low + [local.randint(-9, 9) for _ in range(local.randint(1, 7))]))
+        for p in bases:
+            for k in (0, 1, 2, local.randint(3, 40)):
+                assert hilbert._power(p, k, "") == _power_by_squaring(p, k), (p, k)
+        shapes = {(p[0] == 0, next(x for x in p if x) < 0, p[-1] < 0) for p in bases if any(p[:-1])}
+        assert len(shapes) == 8
+
+    def test_binomial_power_is_fast(self):
+        """(1 - t)^4000 is near the size bound; binary powering by schoolbook
+        products took 12-21 s on it."""
+        start = time.perf_counter()
+        rf = parse_rational_function("(1-t)^4000")
+        assert time.perf_counter() - start < 1
+        assert rf.den == (1,)
+        assert rf.num == tuple((-1) ** i * comb(4000, i) for i in range(4001))
 
 
 def _random_expression(r: random.Random, depth: int) -> str:

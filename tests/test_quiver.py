@@ -14,17 +14,16 @@ from delpezzo import (
     classify,
     contains_cancelling_tuple,
     delta_lattice,
+    enumerate_reduced_baskets,
     hyperplane_sum,
     indecomposables,
     maximal_shatter,
     maximal_shattering,
     orbifold_contribution,
-    regroupings,
     residual_quiver,
     self_duals,
 )
-from delpezzo import quiver
-from delpezzo.errors import CapacityExceeded, MixedIndex
+from delpezzo.errors import MixedIndex
 from delpezzo.exactalg import (
     cyclotomic,
     int_rank,
@@ -34,12 +33,45 @@ from delpezzo.exactalg import (
 )
 from delpezzo.hilbert import zero_delta
 from delpezzo.quiver import _indec_by_slope, elementary_t, hyperplane_sum_chain
+from delpezzo.singularity import is_residual, residuals_of_index
 
 rng = random.Random(20260824)
 
 
 def totient(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def regroupings(m):
+    """All baskets whose maximal shattering is m, by a search over glued
+    arcs of the quiver cycle (wrapping arcs give T-singularities), kept
+    as the oracle of enumerate_reduced_baskets.  Only arcs that fit in
+    m.counts are tried, and a longer arc from the same start cannot fit
+    once a shorter one does not."""
+    verts = residual_quiver(m.local_index).vertices
+    n = len(verts)
+    arcs = []  # (count used per vertex, glued singularity)
+    for start in range(n):
+        used = [0] * n
+        for length in range(1, sum(m.counts) + 1):
+            used[(start + length - 1) % n] += 1
+            glued = hyperplane_sum_chain([verts[(start + j) % n] for j in range(length)])
+            if glued is None or any(u > c for u, c in zip(used, m.counts)):
+                break
+            arcs.append((tuple(used), glued))
+    found = set()
+
+    def rec(i, left, parts):
+        if not any(left):
+            found.add(basket(parts))
+        elif i < len(arcs):
+            used, glued = arcs[i]
+            most = min(x // u for x, u in zip(left, used) if u)
+            for k in range(most + 1):
+                rec(i + 1, [x - k * u for x, u in zip(left, used)], parts + [glued] * k)
+
+    rec(0, list(m.counts), [])
+    return sorted(found, key=lambda b: [(s.r, s.a) for s in b])
 
 
 class TestIndecomposables:
@@ -240,21 +272,26 @@ class TestShatteringMultisets:
             key = tuple(sorted(s.iso_key() for s in picks))
             assert key in {tuple(sorted(s.iso_key() for s in g)) for g in groups}
 
-    def test_regrouping_budget_reports_work_done(self, monkeypatch):
-        """Two 1/5(1,1) and one 1/20(1,3) regroup in 4 ways, found in 86
-        search nodes; one node fewer raises and names what was done."""
-        m = maximal_shattering(
-            [Singularity(5, 1), Singularity(5, 1), Singularity(20, 3)], extended=True
-        )
-        monkeypatch.setattr(quiver, "NODE_BUDGET", 85)
-        with pytest.raises(
-            CapacityExceeded,
-            match=r"^regrouping enumeration hit the node cap 85: "
-            r"85 nodes visited, 4 distinct baskets found$",
-        ):
-            regroupings(m)
-        monkeypatch.setattr(quiver, "NODE_BUDGET", 86)
-        assert len(regroupings(m)) == 4
+    def test_cancelling_free_regroupings_are_enumerated(self):
+        """A Hilbert series fixes only delta, and regrouping a basket's
+        maximal shattering keeps its delta.  So each regrouping that is,
+        once its zero-delta parts (T-singularities) are dropped, a
+        cancelling-free basket of residuals is one that the enumerator
+        lists for that delta."""
+        local = random.Random(20261019)
+        compared = 0
+        for _ in range(40):
+            ell = local.choice((5, 7, 8, 9, 10, 12))
+            pool = residuals_of_index(ell)
+            picks = [local.choice(pool) for _ in range(local.randint(1, 3))]
+            delta = sum((orbifold_contribution(s) for s in picks), zero_delta(ell))
+            listed = set(enumerate_reduced_baskets(ell, delta).baskets)
+            for g in regroupings(maximal_shattering(picks)):
+                rest = basket([s for s in g if not orbifold_contribution(s).is_zero])
+                if all(map(is_residual, rest)) and contains_cancelling_tuple(rest) is None:
+                    assert rest in listed, (ell, picks, rest)
+                    compared += 1
+        assert compared > 100
 
 
 class TestCancellingTuples:
