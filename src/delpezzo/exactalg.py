@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityExceeded
@@ -502,23 +502,28 @@ def int_solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple
     None when no integer solution exists."""
     if cols and len(cols[0]) != len(b):
         raise ValueError("dimension mismatch")
-    return echelon_solve(_column_echelon(cols), b)
+    solved = echelon_solve(_column_echelon(cols), b)
+    return solved[0] if solved is not None and solved[1] == 1 else None
 
 
-def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple]:
-    """int_solve against (A, U, pivots) = _column_echelon(M).
+def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple[tuple, int]]:
+    """(x, d) with M x = d*b against (A, U, pivots) = _column_echelon(M), or
+    None when M x = b is inconsistent.
 
-    U is unimodular, so an integer x = U y with Mx = b exists exactly when
-    the y of echelon_substitute is integral; x is a sum of columns of U.
+    d >= 1 is the least integer that makes d*y integral, for the y of
+    echelon_substitute, and x = U (d*y) is a sum of columns of U.  U is
+    unimodular, so an integer x with M x = b exists exactly when d = 1.
     """
     y = echelon_substitute(echelon, b)
-    if y is None or any(v.denominator != 1 for v in y):
+    if y is None:
         return None
+    d = lcm(*[v.denominator for v in y])
     x = [0] * len(y)
     for u, v in zip(echelon[1], y):
         if v:
-            x = [a + int(v) * c for a, c in zip(x, u)]
-    return tuple(x)
+            v = v.numerator * (d // v.denominator)
+            x = [a + v * c for a, c in zip(x, u)]
+    return tuple(x), d
 
 
 def echelon_substitute(echelon: tuple, b: Sequence) -> Optional[list]:

@@ -24,7 +24,7 @@ from .exactalg import (
     RationalFunction,
     _column_echelon,
     cyclotomic,
-    echelon_substitute,
+    echelon_solve,
     poly,
     poly_add,
     poly_content,
@@ -361,8 +361,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     nrows = len(A[0])  # the frame always has its `degree` column
     if len(rhs) > nrows:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    y = echelon_substitute(echelon, [*rhs, *[0] * (nrows - len(rhs))])
-    if y is None:
+    solved = echelon_solve(echelon, [*rhs, *[0] * (nrows - len(rhs))])
+    if solved is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
     if len(pivots) < len(U):
         kernel = U[len(pivots)]  # U's first non-pivot column
@@ -370,13 +370,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
                  for ell in frame.parts]
         raise AmbiguousDecomposition(f"decomposition solver has a nontrivial nullspace: "
                                      f"kernel vector K^2={kernel[0]}, {', '.join(named)}")
-    # y over the lcm of its denominators, so that the sums stay in ints
-    scale = lcm(*[v.denominator for v in y])
-    solution = [0] * len(U)
-    for u, v in zip(U, y):
-        if v:
-            v = v.numerator * (scale // v.denominator)
-            solution = [a + v * x for a, x in zip(solution, u)]
+    # the solution of the system times scale, so that the sums stay in ints
+    solution, scale = solved
     c *= scale
     sums = {ell: [0] * (ell - 2) for ell in frame.parts}
     for (ell, g), x in zip(bases, solution[1:]):

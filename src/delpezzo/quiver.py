@@ -18,11 +18,11 @@ from .singularity import (
     Singularity,
     basket,
     basket_pieces,
-    continuation,
     hyperplane_sum,
     hyperplane_sum_chain,
     is_residual,
     maximal_shatter,
+    _edge_slope,
 )
 
 
@@ -67,21 +67,15 @@ def residual_quiver(ell: int) -> ResidualQuiver:
     if ell < 3:
         return ResidualQuiver(ell, ())
     by_slope = _indec_by_slope(ell)
-    members = set(by_slope.values())
-    widths = sorted({v.width for v in members})
     start = Singularity(ell, 1) if ell % 2 else Singularity(2 * ell, 1)
-    if start not in members:
+    if by_slope.get(start.slope) != start:
         raise RuntimeError(f"start vertex {start} is not indecomposable")
     order = [start]
-    current = start
     for _ in range(len(by_slope) - 1):
-        # the successor v is the continuation of current of v's width
-        nxt = [v for w in widths if (v := continuation(current, w)) in members]
-        if len(nxt) != 1:
-            raise RuntimeError(f"non-unique successor at {current}")
-        order.append(nxt[0])
-        current = nxt[0]
-    if hyperplane_sum(current, start) is None:
+        # the successor glues on at the end of current, so its slope is the
+        # slope of the shards from there
+        order.append(by_slope[_edge_slope(*order[-1].invariants())])
+    if hyperplane_sum(order[-1], start) is None:
         raise RuntimeError("cycle does not close")
     quiver = ResidualQuiver(ell, tuple(order))
     # the dual involution fixes the start and the antipodal vertex
@@ -138,15 +132,6 @@ class IndecMultiset:
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
-
-    def pair_counts(self) -> tuple:
-        """Counts per isomorphism class, in the quiver's pair order."""
-        n = len(self.counts)
-        out = [self.counts[0]]
-        for i in range(1, n // 2):
-            out.append(self.counts[i] + self.counts[n - i])
-        out.append(self.counts[n // 2])
-        return tuple(out)
 
 
 def maximal_shattering(

@@ -62,11 +62,6 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
     return tuple(reps)
 
 
-@lru_cache(maxsize=None)
-def _inverse_keys(ell: int) -> tuple[tuple, ...]:
-    return tuple(hyperplane_inverse(s).iso_key() for s in res_plus(ell))
-
-
 @dataclass(frozen=True)
 class SignedBasketVector:
     """Integer coordinates over Res+(l); negatives select the inverse class."""
@@ -76,13 +71,12 @@ class SignedBasketVector:
 
     def basket(self) -> Basket:
         reps = res_plus(self.local_index)
-        inverses = _inverse_keys(self.local_index)
         out = []
         for i, v in enumerate(self.coords):
             if v > 0:
                 out.extend([reps[i]] * v)
             elif v < 0:
-                out.extend([Singularity(*inverses[i])] * (-v))
+                out.extend([hyperplane_inverse(reps[i])] * (-v))
         return basket(out)
 
 
@@ -152,11 +146,11 @@ def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult
             ell, delta, True, ((),), ((0,) * len(res_plus(ell)),), (Fraction(0),)
         )
     echelon, graver = _index_context(ell)
-    x0 = echelon_solve(echelon, delta.entries)
-    if x0 is None:
+    solved = echelon_solve(echelon, delta.entries)
+    if solved is None or solved[1] != 1:
         raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
     try:
-        minimal, _ = graver_fiber(graver, x0, PAIR_BUDGET)
+        minimal, _ = graver_fiber(graver, solved[0], PAIR_BUDGET)
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: {exc}") from None
     # the lift returns at least the normal form of x0

@@ -242,39 +242,49 @@ def residue(s: Singularity) -> tuple[Optional[Singularity], list[Classification]
 # hyperplane sum and friends
 
 
+def _edge_slope(ell: int, j: int, c: int) -> int:
+    """c*(1 - j*c)^-1 mod l: the slope of every shard that starts at the
+    j-th edge point p(j) of a cone of local index l and slope c."""
+    return c * pow(1 - j * c, -1, ell) % ell
+
+
 def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
     """With s realized as Cone(e2, e2 + k*(l,-c)), the normal forms of
-    Cone(p(i), p(j)) for each pair i, j of consecutive cuts, where
-    p(j) = e2 + j*(l,-c) is the j-th lattice point of its edge line;
-    DegenerateCone when a ray is not primitive."""
+    Cone(p(i), p(j)) for each pair i < j of consecutive cuts, where
+    p(j) = (j*l, 1 - j*c) is the j-th lattice point of its edge line;
+    DegenerateCone when a ray is not primitive.
+
+    p(j) is primitive exactly when hcf(l, 1 - j*c) = 1.  The map in SL2(Z)
+    with rows (1 - i*c, -i*l) and (x, y), x*i*l + y*(1 - i*c) = 1, sends
+    p(i) to e2 and p(j) = p(i) + w*(l,-c), w = j - i, to
+    (w*l, 1 + w*(x*l - y*c)), and y = (1 - i*c)^-1 mod l.  So the shard is
+    1/(w*l)(1, w*c_i - 1) with c_i = _edge_slope(l, i, c), smooth at w*l = 1.
+    """
     ell, _, c = s.invariants()
-    return [normalize_cone(IntCone((i * ell, 1 - i * c), (j * ell, 1 - j * c)))
-            for i, j in zip(cuts, cuts[1:])]
-
-
-def continuation(s: Singularity, width: int) -> Optional[Singularity]:
-    """With s realized as Cone(e2, e2 + k*(l,-c)), the normal form of
-    Cone(e2 + k*(l,-c), e2 + (k+width)*(l,-c)), or None when a ray of it
-    is not primitive."""
-    k = s.width
-    try:
-        return _shards(s, (k, k + width))[0]
-    except DegenerateCone:
-        return None
+    for j in cuts:
+        if gcd(ell, 1 - j * c) != 1:
+            raise DegenerateCone(f"ray {(j * ell, 1 - j * c)} is not primitive")
+    out = []
+    for i, j in zip(cuts, cuts[1:]):
+        r = (j - i) * ell
+        out.append(Singularity(r, ((j - i) * _edge_slope(ell, i, c) - 1) % r))
+    return out
 
 
 def hyperplane_sum(s1: Singularity, s2: Singularity) -> Optional[Singularity]:
     """The gluing s1 * s2, or None when undefined.
 
-    The sum is defined when the continuation of s1 of width k2 normalizes
-    to s2; it is then Cone(e2, e2 + (k1+k2)*(l,-c1)).  Noncommutative.
+    The sum is defined when the shard of width k2 that continues the edge of
+    s1 past its end p(k1) is s2: the two share l >= 2 and s2 has the slope
+    of the shards from p(k1).  It is then Cone(e2, e2 + (k1+k2)*(l,-c1)).
+    Noncommutative.
     """
     if s1.is_smooth or s2.is_smooth:
         return None
-    ell = s1.local_index
-    if ell != s2.local_index or ell < 2 or continuation(s1, s2.width) != s2:
+    ell, k1, c1 = s1.invariants()
+    if ell != s2.local_index or ell < 2 or s2.slope != _edge_slope(ell, k1, c1):
         return None
-    return _shards(s1, (0, s1.width + s2.width))[0]
+    return _shards(s1, (0, k1 + s2.width))[0]
 
 
 def hyperplane_sum_chain(parts: Sequence[Singularity]) -> Optional[Singularity]:

@@ -7,11 +7,13 @@ CLI stays a thin adapter.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -31,12 +33,20 @@ from delpezzo import (
 from delpezzo.cli import build_parser, main
 
 
+# the checkout's src first on the child's path, as pytest's pythonpath puts it
+# on this process's, so that no other installed delpezzo is run
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "delpezzo", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=CHILD_ENV,
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from delpezzo import (
     DeltaVector,
+    IntCone,
     SignedBasketVector,
     Singularity,
     analyze_series,
@@ -29,6 +30,7 @@ from delpezzo import (
     enumerate_reduced_baskets,
     features_in,
     hyperplane_inverse,
+    normalize_cone,
     orbifold_contribution,
     parse_rational_function,
     psi_invariants,
@@ -446,6 +448,29 @@ class TestAnalyzeSeries:
             all(not bk for _, bk in c.selection) for c in feasible
         )
         assert report.toric_impossible
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="toric_impossible is raised whenever every feasible choice has IK^2 = 0, "
+        "but a fan whose cones all carry points of the basket has IK^2 = 0 too",
+    )
+    def test_toric_polygon_is_not_flagged(self):
+        """The Fano polygon with vertices (-2,1), (-1,-2), (2,-1), (1,2) is
+        a toric del Pezzo surface: its four cones are all 1/5(1,2) and
+        K^2 = 8/5, and this is its series.  The one feasible choice is
+        those four points, with IK^2 = 0."""
+        verts = [(-2, 1), (-1, -2), (2, -1), (1, 2)]
+        cones = [normalize_cone(IntCone(v, u)) for u, v in zip(verts, verts[1:] + verts[:1])]
+        assert basket(cones) == basket([Singularity(5, 2)] * 4)
+        h = parse_rational_function(
+            "(1 - t + 4*t^2 + 4*t^4 - t^5 + t^6)/(1 - 2*t + t^2 - t^5 + 2*t^6 - t^7)"
+        )
+        assert assemble_series(basket(cones), Fraction(8, 5)).series == h
+        report = analyze_series(h)
+        feasible = [c for c in report.per_choice if c.verdict == "Feasible"]
+        assert [c.selection for c in feasible] == [((5, basket(cones)),)]
+        assert feasible[0].invisible_budget == 0
+        assert not report.toric_impossible
 
     def test_projective_plane_budget(self):
         h = parse_rational_function("(1+7*t+t^2)/(1-t)^3")

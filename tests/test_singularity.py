@@ -7,6 +7,7 @@ explicit cone gluing for hyperplane sums, and invariant bookkeeping
 """
 
 import functools
+import itertools
 import random
 from math import gcd
 
@@ -26,6 +27,7 @@ from delpezzo import (
     shatterings,
 )
 from delpezzo.errors import DegenerateCone, NotResidual, ParseError
+from delpezzo.singularity import _shards
 
 rng = random.Random(20260824)
 
@@ -75,6 +77,50 @@ class TestNormalForm:
                 g = rng.choice(gens)
                 u, v = apply(g, u), apply(g, v)
             assert normalize_cone(IntCone(u, v)) == s
+
+
+def all_points(max_r):
+    """Every 1/r(1,a) with r <= max_r, the smooth point included."""
+    yield Singularity(1, 0)
+    for r in range(2, max_r + 1):
+        for a in range(1, r):
+            if gcd(r, a) == 1:
+                yield Singularity(r, a)
+
+
+class TestShards:
+    """_shards reads each shard off its edge slope in closed form;
+    normalize_cone of the cone on the two edge points is its oracle."""
+
+    @staticmethod
+    def agree(s, i, j):
+        ell, _, c = s.invariants()
+        try:
+            want = normalize_cone(IntCone((i * ell, 1 - i * c), (j * ell, 1 - j * c)))
+        except DegenerateCone:
+            with pytest.raises(DegenerateCone):
+                _shards(s, (i, j))
+            return False
+        assert _shards(s, (i, j)) == [want], (s, i, j)
+        return True
+
+    def test_every_cut_pair_up_to_40(self):
+        found = [0, 0]
+        for s in all_points(40):
+            top = s.width + s.local_index
+            for i in range(top + 1):
+                for j in range(i + 1, top + 1):
+                    found[self.agree(s, i, j)] += 1
+        assert min(found) > 1000  # both outcomes are exercised
+
+    def test_the_cuts_in_use_up_to_300(self):
+        """The pairs among the cuts that the callers make: the ends 0 and k
+        of the edge, the first point past each, l and the far end k + l."""
+        for s in all_points(300):
+            ell, k, _ = s.invariants()
+            cuts = sorted({0, 1, k, k + 1, ell, k + ell})
+            for i, j in itertools.combinations(cuts, 2):
+                self.agree(s, i, j)
 
 
 class TestInvariants:
