@@ -96,15 +96,19 @@ def parse_basket_text(text: str):
     return basket(Singularity.parse(m.group(0)) for m in matches)
 
 
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse rational {text!r}") from exc
-
-
 # an integer argument: ASCII digits 0-9, a minus sign where negatives are valid
 INTEGER_TEXT = re.compile(r" *(-?)([0-9]+) *")
+# a rational argument p/q in the same digits
+FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_fraction(text: str) -> Fraction:
+    try:
+        if FRACTION_TEXT.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # past the digit limit, or q = 0
+        pass
+    raise ParseError(f"cannot parse rational {text!r}")
 
 
 def ascii_int(text: str, signed: bool) -> int:

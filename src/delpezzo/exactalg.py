@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityExceeded
 
@@ -287,20 +287,76 @@ class RationalFunction:
 # integer linear algebra
 
 
-def _column_echelon(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+class Echelon(NamedTuple):
+    """The integer column echelon form of a matrix M, from column_echelon.
+
+    A = M U with U unimodular, both lists of columns, and pivots the
+    (row, col) positions of the echelon pivots.  Unpacks as (A, U, pivots).
+    """
+
+    A: list
+    U: list
+    pivots: list
+
+    @property
+    def kernel(self) -> list[tuple]:
+        """The columns of U past the pivots: a basis of the integer kernel."""
+        return [tuple(u) for u in self.U[len(self.pivots):]]
+
+    def solve(self, b: Sequence[int]) -> Optional[tuple[tuple, int]]:
+        """(x, d) with M x = d*b, or None when M x = b is inconsistent; a
+        short b is padded with zeros, a longer one must be zero past the
+        rows of M.
+
+        Forward substitution gives y over Q with A y = b, zero off the pivot
+        columns: each pivot row fixes its y, as a pivot column is zero above
+        its pivot, and each other row, zero right of the pivots before it,
+        must have no residue left.  d >= 1 is the least integer that makes
+        d*y integral and x = U (d*y); U is unimodular, so an integer x with
+        M x = b exists exactly when d = 1.
+        """
+        A, U, pivots = self
+        nrows = len(A[0]) if A else 0
+        if any(b[nrows:]):
+            return None
+        resid = [*b[:nrows], *[0] * (nrows - len(b))]
+        y = [0] * len(U)
+        pos = dict(pivots)
+        for r in range(nrows):
+            c = pos.get(r)
+            if c is None:
+                if resid[r]:
+                    return None
+                continue
+            col = A[c]
+            q, rest = divmod(resid[r], col[r])
+            y[c] = t = Fraction(resid[r], col[r]) if rest else q
+            if t:
+                for i in range(r + 1, nrows):
+                    if col[i]:
+                        resid[i] -= t * col[i]
+        d = lcm(*[v.denominator for v in y])
+        x = [0] * len(y)
+        for u, v in zip(U, y):
+            if v:
+                v = v.numerator * (d // v.denominator)
+                x = [a + v * c for a, c in zip(x, u)]
+        return tuple(x), d
+
+
+def column_echelon(cols: Sequence[Sequence[int]]) -> Echelon:
     """Integer column echelon form via unimodular column operations.
 
-    cols is the matrix M as the list of its columns, all of one length.
-    Returns (A, U, pivots) with A = M U, U unimodular, both as lists of
-    columns, and pivots a list of (row, col) positions of the echelon
-    pivots.
+    cols is the matrix M as the list of its columns; short columns are
+    padded with zeros to the longest.
     """
-    A = [list(col) for col in cols]
+    nrows = max(map(len, cols), default=0)
+    A = [[*col, *[0] * (nrows - len(col))] for col in cols]
     n = len(A)
     U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     pivots: list[tuple[int, int]] = []
     pc = 0
-    for r in range(len(A[0]) if A else 0):
+    for r in range(nrows):
         if pc >= n:
             break
         # reduce columns pc..n-1 so only column pc has a nonzero entry in row r
@@ -323,14 +379,13 @@ def _column_echelon(cols: Sequence[Sequence[int]]) -> tuple[list[list[int]], lis
                 A[pc], U[pc] = [-x for x in A[pc]], [-x for x in U[pc]]
             pivots.append((r, pc))
             pc += 1
-    return A, U, pivots
+    return Echelon(A, U, pivots)
 
 
 def int_kernel(cols: Sequence[Sequence[int]]) -> list[tuple]:
     """Basis of the integer kernel lattice {x : Mx = 0} of the matrix with
     these columns; [] when trivial."""
-    _, U, pivots = _column_echelon(cols)
-    return [tuple(u) for u in U[len(pivots):]]
+    return column_echelon(cols).kernel
 
 
 def signed(v: tuple) -> tuple:
@@ -502,59 +557,8 @@ def int_solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple
     None when no integer solution exists."""
     if cols and len(cols[0]) != len(b):
         raise ValueError("dimension mismatch")
-    solved = echelon_solve(_column_echelon(cols), b)
+    solved = column_echelon(cols).solve(b)
     return solved[0] if solved is not None and solved[1] == 1 else None
-
-
-def echelon_solve(echelon: tuple, b: Sequence[int]) -> Optional[tuple[tuple, int]]:
-    """(x, d) with M x = d*b against (A, U, pivots) = _column_echelon(M), or
-    None when M x = b is inconsistent.
-
-    d >= 1 is the least integer that makes d*y integral, for the y of
-    echelon_substitute, and x = U (d*y) is a sum of columns of U.  U is
-    unimodular, so an integer x with M x = b exists exactly when d = 1.
-    """
-    y = echelon_substitute(echelon, b)
-    if y is None:
-        return None
-    d = lcm(*[v.denominator for v in y])
-    x = [0] * len(y)
-    for u, v in zip(echelon[1], y):
-        if v:
-            v = v.numerator * (d // v.denominator)
-            x = [a + v * c for a, c in zip(x, u)]
-    return tuple(x), d
-
-
-def echelon_substitute(echelon: tuple, b: Sequence) -> Optional[list]:
-    """y over Q with A y = b and y zero off the pivot columns, for
-    (A, U, pivots) = _column_echelon(M); None when A y = b, and so M x = b,
-    is inconsistent.
-
-    Forward substitution over the rows of b, one per row of M: a pivot
-    column is zero above its pivot row, and a row without a pivot is zero
-    right of the pivots before it, so each pivot row fixes its y and each
-    other row must have no residue left.  y stays in ints while every
-    pivot divides its residue.
-    """
-    A, U, pivots = echelon
-    y = [0] * len(U)
-    resid = list(b)
-    pos = dict(pivots)
-    for r in range(len(resid)):
-        c = pos.get(r)
-        if c is None:
-            if resid[r]:
-                return None
-            continue
-        col = A[c]
-        q, rest = divmod(resid[r], col[r])
-        y[c] = t = Fraction(resid[r], col[r]) if rest else q
-        if t:
-            for i in range(r + 1, len(resid)):
-                if col[i]:
-                    resid[i] -= t * col[i]
-    return y
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:

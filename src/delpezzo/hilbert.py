@@ -22,9 +22,8 @@ from .errors import (
 )
 from .exactalg import (
     RationalFunction,
-    _column_echelon,
+    column_echelon,
     cyclotomic,
-    echelon_solve,
     poly,
     poly_add,
     poly_content,
@@ -288,15 +287,14 @@ class _Frame:
 
     @cached_property
     def system(self) -> tuple[tuple, list]:
-        """(_column_echelon(M), bases) for the integer matrix M, a row per
+        """(column_echelon(M), bases) for the integer matrix M, a row per
         power of t, of columns `degree` and t*b*parts[l] for each (l, b),
         b in the delta-lattice basis."""
         from .quiver import delta_lattice  # deferred: quiver builds on this module
 
         bases = [(ell, b) for ell in self.parts for b in delta_lattice(ell).basis]
         cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
-        nrows = max(map(len, cols))
-        return _column_echelon([[*col, *[0] * (nrows - len(col))] for col in cols]), bases
+        return column_echelon(cols), bases
 
 
 _frame = lru_cache(maxsize=None)(_Frame)
@@ -340,9 +338,9 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     H - 1/(1-t) = K^2 t/(1-t)^3 + sum_l N_l/(l(1-t^l)), with N_l in the
     delta-lattice at l, is one integer system with K^2 as one more unknown:
     L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
-    The frame keeps the column echelon form (A, U, pivots) of its matrix,
-    so a split is one forward substitution for y and then x = U y, a sum of
-    the columns of U.
+    The frame keeps the column echelon form of its matrix, so a split is
+    one Echelon.solve: a forward substitution for y and then x = U y, a sum
+    of the columns of U.
     """
     if H.den[0] == 0:
         raise NotASurfaceSeries("series has a pole at t=0")
@@ -357,15 +355,11 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
         raise NotASurfaceSeries("denominator has non-cyclotomic factors")
     rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
     echelon, bases = frame.system
-    A, U, pivots = echelon
-    nrows = len(A[0])  # the frame always has its `degree` column
-    if len(rhs) > nrows:
-        raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    solved = echelon_solve(echelon, [*rhs, *[0] * (nrows - len(rhs))])
+    solved = echelon.solve(rhs)
     if solved is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    if len(pivots) < len(U):
-        kernel = U[len(pivots)]  # U's first non-pivot column
+    if echelon.kernel:
+        kernel = echelon.kernel[0]
         named = [f"l={ell}:{tuple([x for (e, _), x in zip(bases, kernel[1:]) if e == ell])}"
                  for ell in frame.parts]
         raise AmbiguousDecomposition(f"decomposition solver has a nontrivial nullspace: "

@@ -11,18 +11,18 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import MixedIndex
-from .exactalg import int_rank, _column_echelon
+from .exactalg import column_echelon, int_rank
 from .hilbert import orbifold_contribution
 from .singularity import (
     Basket,
     Singularity,
     basket,
     basket_pieces,
+    edge_slope,
     hyperplane_sum,
     hyperplane_sum_chain,
     is_residual,
     maximal_shatter,
-    _edge_slope,
 )
 
 
@@ -74,18 +74,17 @@ def residual_quiver(ell: int) -> ResidualQuiver:
     for _ in range(len(by_slope) - 1):
         # the successor glues on at the end of current, so its slope is the
         # slope of the shards from there
-        order.append(by_slope[_edge_slope(*order[-1].invariants())])
+        order.append(by_slope[edge_slope(*order[-1].invariants())])
     if hyperplane_sum(order[-1], start) is None:
         raise RuntimeError("cycle does not close")
-    quiver = ResidualQuiver(ell, tuple(order))
-    # the dual involution fixes the start and the antipodal vertex
+    # dualizing must reverse the cycle, i -> -i: self_duals reads its fixed points
     n = len(order)
-    if n % 2 and n != 1:
+    if n % 2:
         raise RuntimeError(f"quiver cycle of odd length {n}")
     for i, v in enumerate(order):
         if order[(-i) % n] != v.dual():
             raise RuntimeError(f"dualizing does not reverse the cycle at {v}")
-    return quiver
+    return ResidualQuiver(ell, tuple(order))
 
 
 def elementary_t(ell: int, start: Singularity) -> Singularity:
@@ -101,21 +100,12 @@ def elementary_t(ell: int, start: Singularity) -> Singularity:
 
 
 def self_duals(ell: int) -> tuple[Singularity, Singularity]:
-    """The two self-dual indecomposables, from the explicit residue table."""
-    if ell % 2 == 1:
-        pair = (Singularity(ell, 1), Singularity(2 * ell, 1))
-    elif ell % 8 in (0, 4):
-        pair = (Singularity(2 * ell, 1), Singularity(2 * ell, ell + 1))
-    elif ell % 8 == 2:
-        pair = (Singularity(2 * ell, 1), Singularity(4 * ell, ell + 1))
-    else:  # ell = 6 mod 8
-        pair = (Singularity(2 * ell, 1), Singularity(4 * ell, 3 * ell + 1))
-    for s in pair:
-        if s.dual() != s:
-            raise RuntimeError(f"{s} is not self-dual")
-        if s not in indecomposables(ell):
-            raise RuntimeError(f"{s} is not indecomposable")
-    return tuple(sorted(pair, key=lambda s: (s.r, s.a)))
+    """The two self-dual indecomposables, sorted: the start vertex of the
+    quiver and the antipodal one, the fixed points of i -> -i."""
+    if ell < 3:
+        raise ValueError(f"self-duals need a local index l >= 3, got {ell}")
+    v = residual_quiver(ell).vertices
+    return tuple(sorted((v[0], v[len(v) // 2]), key=lambda s: (s.r, s.a)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +144,8 @@ def maximal_shattering(
             raise MixedIndex(f"{s} has local index {s.local_index}, not {ell}")
         if not extended and not is_residual(s):
             raise MixedIndex(f"{s} is not residual")
+        if not q.vertices:
+            continue  # l <= 2: every point is smooth or a T-point
         for shard in maximal_shatter(s):
             counts[q.index_of(shard)] += 1
     return IndecMultiset(ell, tuple(counts))
@@ -180,7 +172,7 @@ class DeltaLattice:
         leaves zero exactly when the vector lies in the lattice.
         """
         resid = list(entries)
-        if self.basis and len(resid) != len(self.basis[0]):
+        if len(resid) != max(0, self.local_index - 2):
             raise ValueError("dimension mismatch")
         for row in self.basis:
             pivot = next(i for i, x in enumerate(row) if x)
@@ -196,12 +188,10 @@ def delta_lattice(ell: int) -> DeltaLattice:
     gens = tuple(
         orbifold_contribution(v).entries for v in indecomposables(ell)
     )
-    if not gens:
-        return DeltaLattice(ell, (), 0, ())
     rank = int_rank(list(gens))
     # lattice basis: the pivot columns of the column echelon form of the
     # matrix whose columns are gens
-    echelon, _, pivots = _column_echelon(gens)
+    echelon, _, pivots = column_echelon(gens)
     basis = tuple([tuple(echelon[c]) for _, c in pivots])
     if len(basis) != rank:
         raise RuntimeError(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
 from .exactalg import (
-    RationalFunction, Reducer, _column_echelon, echelon_solve, graver_completion, graver_fiber,
+    Echelon, RationalFunction, Reducer, column_echelon, graver_completion, graver_fiber,
 )
 from .hilbert import (
     DeltaVector, degree_contribution, orbifold_contribution, split_series, zero_delta,
@@ -103,15 +103,14 @@ class ReducedBodyResult:
 
 
 @lru_cache(maxsize=None)
-def _index_context(ell: int) -> tuple[tuple, Reducer]:
-    """(the column echelon form (A, U, pivots) of Phi+, the Graver basis G0
-    of ker Phi+ as the Reducer of its normal forms).  G0 is completed from
-    the kernel columns of U within PAIR_BUDGET pairs; lru_cache keeps no
+def _index_context(ell: int) -> tuple[Echelon, Reducer]:
+    """(the column echelon form of Phi+, the Graver basis G0 of ker Phi+
+    as the Reducer of its normal forms).  G0 is completed from the
+    echelon's kernel basis within PAIR_BUDGET pairs; lru_cache keeps no
     raised exception, so a completion cut short is not kept."""
-    echelon = _column_echelon([orbifold_contribution(s).entries for s in res_plus(ell)])
-    _, U, pivots = echelon
+    echelon = column_echelon([orbifold_contribution(s).entries for s in res_plus(ell)])
     try:
-        graver, _ = graver_completion([tuple(u) for u in U[len(pivots):]], PAIR_BUDGET)
+        graver, _ = graver_completion(echelon.kernel, PAIR_BUDGET)
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: kernel {exc}") from None
     return echelon, graver
@@ -146,7 +145,7 @@ def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult
             ell, delta, True, ((),), ((0,) * len(res_plus(ell)),), (Fraction(0),)
         )
     echelon, graver = _index_context(ell)
-    solved = echelon_solve(echelon, delta.entries)
+    solved = echelon.solve(delta.entries)
     if solved is None or solved[1] != 1:
         raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
     try:

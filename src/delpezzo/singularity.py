@@ -242,7 +242,7 @@ def residue(s: Singularity) -> tuple[Optional[Singularity], list[Classification]
 # hyperplane sum and friends
 
 
-def _edge_slope(ell: int, j: int, c: int) -> int:
+def edge_slope(ell: int, j: int, c: int) -> int:
     """c*(1 - j*c)^-1 mod l: the slope of every shard that starts at the
     j-th edge point p(j) of a cone of local index l and slope c."""
     return c * pow(1 - j * c, -1, ell) % ell
@@ -258,7 +258,7 @@ def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
     with rows (1 - i*c, -i*l) and (x, y), x*i*l + y*(1 - i*c) = 1, sends
     p(i) to e2 and p(j) = p(i) + w*(l,-c), w = j - i, to
     (w*l, 1 + w*(x*l - y*c)), and y = (1 - i*c)^-1 mod l.  So the shard is
-    1/(w*l)(1, w*c_i - 1) with c_i = _edge_slope(l, i, c), smooth at w*l = 1.
+    1/(w*l)(1, w*c_i - 1) with c_i = edge_slope(l, i, c), smooth at w*l = 1.
     """
     ell, _, c = s.invariants()
     for j in cuts:
@@ -267,7 +267,7 @@ def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
     out = []
     for i, j in zip(cuts, cuts[1:]):
         r = (j - i) * ell
-        out.append(Singularity(r, ((j - i) * _edge_slope(ell, i, c) - 1) % r))
+        out.append(Singularity(r, ((j - i) * edge_slope(ell, i, c) - 1) % r))
     return out
 
 
@@ -282,7 +282,7 @@ def hyperplane_sum(s1: Singularity, s2: Singularity) -> Optional[Singularity]:
     if s1.is_smooth or s2.is_smooth:
         return None
     ell, k1, c1 = s1.invariants()
-    if ell != s2.local_index or ell < 2 or s2.slope != _edge_slope(ell, k1, c1):
+    if ell != s2.local_index or ell < 2 or s2.slope != edge_slope(ell, k1, c1):
         return None
     return _shards(s1, (0, k1 + s2.width))[0]
 

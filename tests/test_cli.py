@@ -272,6 +272,10 @@ class TestExitCodes:
             ("reduce", "5", "2,1_0,2"),
             ("count-bound", "\u0665", "\u0665:\u0662,\u0661,\u0662"),
             ("count-bound", "5", "\u0665:2,1,2"),
+            # K^2 is p/q in the same digits
+            ("series", "{}", "--k2", "1e999999999"),
+            ("series", "{}", "--k2", "1_0"),
+            ("series", "{}", "--k2", "\u0661/\u0662"),
         ],
         ids=lambda args: " ".join(args)[:40],
     )
@@ -280,6 +284,15 @@ class TestExitCodes:
         assert p.returncode in (1, 2)
         assert "error:" in p.stderr
         assert "Traceback" not in p.stderr
+
+    def test_k2_exponent_is_refused_at_once(self):
+        """An exponent is not p/q: refused before any number is built."""
+        p = subprocess.run(
+            [sys.executable, "-m", "delpezzo", "series", "{}", "--k2", "1e999999999"],
+            capture_output=True, text=True, timeout=10, env=CHILD_ENV,
+        )
+        assert p.returncode == 1
+        assert p.stderr.startswith("error: ParseError: cannot parse rational")
 
     def test_named_errors_for_zero_division_and_a_pole_at_zero(self):
         assert run("analyze", "1/0").stderr.startswith("error: ParseError: division by zero")

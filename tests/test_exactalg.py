@@ -22,7 +22,7 @@ from delpezzo.errors import CapacityExceeded
 from delpezzo.exactalg import (
     RationalFunction,
     Reducer,
-    _column_echelon,
+    column_echelon,
     cyclotomic,
     graver_completion,
     graver_fiber,
@@ -305,7 +305,7 @@ def rand_matrix(rows, cols, lo=-4, hi=4):
 
 def _row_major_echelon(rows, ncols):
     """The elimination before matrices became lists of columns, kept as the
-    oracle of _column_echelon: the same column operations in the same
+    oracle of column_echelon: the same column operations in the same
     order, on A and U held as lists of rows."""
     A = [list(row) for row in rows]
     n = ncols
@@ -384,7 +384,7 @@ class TestIntLinearAlgebra:
         seen = set()
         for _ in range(300):
             rows, ncols = _rand_shaped_matrix(local)
-            A, U, pivots = _column_echelon(columns(rows, ncols))
+            A, U, pivots = column_echelon(columns(rows, ncols))
             A0, U0, pivots0 = _row_major_echelon(rows, ncols)
             assert pivots == pivots0, rows
             assert len(A) == len(U) == ncols
@@ -442,6 +442,36 @@ class TestIntLinearAlgebra:
                     continue
                 assert ker
                 assert int_solve(ker, v) is not None
+
+
+    def test_echelon_solve_pads_a_short_b_and_checks_a_long_tail(self):
+        """Echelon.solve reads b against the rows of M: a short b is
+        padded with zeros, a long b must be zero past them."""
+        echelon = column_echelon([[2, 1, 0], [0, 3, 1]])
+        assert echelon.solve((4, 2)) == ((2, 0), 1)
+        assert echelon.solve((4, 2, 0)) == ((2, 0), 1)
+        assert echelon.solve((4, 2, 0, 0, 0)) == ((2, 0), 1)
+        assert echelon.solve((4, 2, 0, 1)) is None
+        assert column_echelon([[2, 0]]).solve((1,)) == ((1,), 2)
+        # the columns of U past the pivots are the kernel, and no columns
+        # solve only b = 0
+        assert echelon.kernel == [] and column_echelon([[1, 2], [2, 4]]).kernel == [(-2, 1)]
+        assert column_echelon([]).solve((0, 0)) == ((), 1)
+        assert column_echelon([]).solve((0, 1)) is None
+
+    def test_column_echelon_pads_short_columns(self):
+        """Columns without their trailing zeros give the echelon form of
+        the columns padded back to the longest of them."""
+        local = random.Random(1313)
+        ragged = 0
+        for _ in range(100):
+            rows, ncols = _rand_shaped_matrix(local)
+            trimmed = [list(poly(col)) for col in columns(rows, ncols)]
+            nrows = max(map(len, trimmed), default=0)
+            padded = [[*col, *[0] * (nrows - len(col))] for col in trimmed]
+            ragged += padded != trimmed
+            assert column_echelon(trimmed) == column_echelon(padded), rows
+        assert ragged > 20
 
 
 class TestReducer:

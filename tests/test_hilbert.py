@@ -44,9 +44,8 @@ from delpezzo.errors import (
 )
 from delpezzo.exactalg import (
     RationalFunction,
-    _column_echelon,
+    column_echelon,
     cyclotomic,
-    echelon_substitute,
     poly,
     poly_content,
     poly_div_exact,
@@ -669,7 +668,7 @@ class TestFrameOracle:
         cols.append(cols[-1])
         nrows = max(map(len, cols))
         padded = [[*col, *[0] * (nrows - len(col))] for col in cols]
-        echelon = _column_echelon(padded)
+        echelon = column_echelon(padded)
         monkeypatch.setitem(frame.__dict__, "system", (echelon, [*bases, bases[-1]]))
         with pytest.raises(AmbiguousDecomposition) as info:
             split_series(hs.series)
@@ -722,7 +721,7 @@ class TestWorkPins:
         _frame.cache_clear()
         modules = (hilbert, exactalg, quiver)
         for cold in (True, False):
-            calls = [self.counter(monkeypatch, module, "_column_echelon") for module in modules]
+            calls = [self.counter(monkeypatch, module, "column_echelon") for module in modules]
             assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
             assert calls[0][0] == cold and calls[1][0] == 0
             assert cold or calls[2][0] == 0
@@ -735,7 +734,7 @@ class TestWorkPins:
         delta = orbifold_contribution(Singularity(7, 1))
         delta_lattice(7)  # the lattice's own elimination is not of Phi+
         reconstruct._index_context.cache_clear()
-        calls = [self.counter(monkeypatch, module, "_column_echelon") for module in (reconstruct, exactalg)]
+        calls = [self.counter(monkeypatch, module, "column_echelon") for module in (reconstruct, exactalg)]
         assert len(reconstruct.enumerate_reduced_baskets(7, delta).baskets) == 35
         assert calls[0][0] + calls[1][0] == 1
 
@@ -950,17 +949,45 @@ def _gauss_solve_over_q(matrix, rhs):
     return sol
 
 
+def _echelon_substitute(echelon, b):
+    """y over Q with A y = b and y zero off the pivot columns, or None when
+    A y = b is inconsistent: the forward substitution that Echelon.solve
+    took over, kept as its oracle."""
+    A, U, pivots = echelon
+    y = [0] * len(U)
+    resid = list(b)
+    pos = dict(pivots)
+    for r in range(len(resid)):
+        c = pos.get(r)
+        if c is None:
+            if resid[r]:
+                return None
+            continue
+        col = A[c]
+        q, rest = divmod(resid[r], col[r])
+        y[c] = t = Fraction(resid[r], col[r]) if rest else q
+        if t:
+            for i in range(r + 1, len(resid)):
+                if col[i]:
+                    resid[i] -= t * col[i]
+    return y
+
+
 def _solve_by_echelon(matrix, rhs):
-    """The split's solve, with the oracle's conventions: _column_echelon,
-    then echelon_substitute for y and x = U y; NotASurfaceSeries when
-    inconsistent, None when the columns are dependent.  Every y found is
-    also checked to solve the system and to vanish off the pivot columns."""
-    echelon = _column_echelon([[row[j] for row in matrix] for j in range(len(matrix[0]))])
+    """The split's solve, with the oracle's conventions: column_echelon,
+    then Echelon.solve for (x, d); NotASurfaceSeries when inconsistent,
+    None when the columns are dependent.  Every x/d found is also checked
+    to solve the system and to be U y for the y of _echelon_substitute,
+    which vanishes off the pivot columns."""
+    echelon = column_echelon([[row[j] for row in matrix] for j in range(len(matrix[0]))])
     _, U, pivots = echelon
-    y = echelon_substitute(echelon, rhs)
+    y = _echelon_substitute(echelon, rhs)
+    solved = echelon.solve(rhs)
     if y is None:
+        assert solved is None
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    x = [sum(u[i] * v for u, v in zip(U, y)) for i in range(len(U))]
+    x = [Fraction(v, solved[1]) for v in solved[0]]
+    assert x == [sum(u[i] * v for u, v in zip(U, y)) for i in range(len(U))]
     assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
     assert not any(y[c] for c in set(range(len(U))) - {c for _, c in pivots})
     return None if len(pivots) < len(U) else x

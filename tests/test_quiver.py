@@ -32,7 +32,7 @@ from delpezzo.exactalg import (
     poly_divmod,
 )
 from delpezzo.hilbert import zero_delta
-from delpezzo.quiver import _indec_by_slope, elementary_t, hyperplane_sum_chain
+from delpezzo.quiver import IndecMultiset, _indec_by_slope, elementary_t, hyperplane_sum_chain
 from delpezzo.singularity import is_residual, residuals_of_index
 
 rng = random.Random(20260824)
@@ -193,6 +193,11 @@ class TestSelfDuals:
             }
             assert fixed == set(self_duals(ell))
 
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_no_self_duals_below_three(self, ell):
+        with pytest.raises(ValueError, match="l >= 3"):
+            self_duals(ell)
+
 
 class TestDeltaLattice:
     def test_rank_two_at_five(self):
@@ -216,6 +221,16 @@ class TestDeltaLattice:
         assert L.contains((8, -1, 8))
         assert not L.contains((1, 1, 1))
         assert not L.contains((1, 0, 1))
+
+    def test_membership_checks_the_dimension_at_every_index(self):
+        """A vector must have l - 2 entries, also where the lattice is 0."""
+        for ell in range(1, 12):
+            L = delta_lattice(ell)
+            dim = max(0, ell - 2)
+            assert L.contains((0,) * dim)
+            for wrong in {max(0, dim - 1), dim + 1} - {dim}:
+                with pytest.raises(ValueError, match="dimension"):
+                    L.contains((5,) * wrong)
 
     def test_generators_lie_in_lattice(self):
         for ell in range(3, 15):
@@ -261,6 +276,25 @@ class TestShatteringMultisets:
         m = maximal_shattering([Singularity(5, 2)])
         assert m.counts == (0, 1, 0, 0)
         assert pair_counts(m) == (0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [Singularity(4, 1)],  # 1/4(1,1), a T-point of local index 2
+            [Singularity(4, 1), Singularity(8, 3)],
+            [Singularity(1, 0)],  # a smooth point
+            [Singularity(3, 2), Singularity(1, 0)],  # a T-point of local index 1
+        ],
+        ids=str,
+    )
+    def test_extended_shattering_below_three_is_empty(self, points):
+        """At l <= 2 the quiver has no vertices: every point is smooth or a
+        T-point, and shatters into nothing that is counted."""
+        ell = points[0].local_index
+        assert ell <= 2
+        assert maximal_shattering(points, extended=True) == IndecMultiset(ell, ())
+        with pytest.raises(MixedIndex, match="not residual"):
+            maximal_shattering(points)
 
     def test_mixed_index_rejected(self):
         with pytest.raises(MixedIndex):

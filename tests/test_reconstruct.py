@@ -17,6 +17,7 @@ import pytest
 
 from delpezzo import (
     DeltaVector,
+    IndecMultiset,
     IntCone,
     SignedBasketVector,
     Singularity,
@@ -514,6 +515,17 @@ class TestPsiInvariants:
         psi, psi_ext = psi_invariants(basket([Singularity(9, 2)]), 3)
         assert all(c == 0 for c in psi.counts)
         assert psi_ext.counts == (1, 1)  # one full quiver cycle
+
+    @pytest.mark.parametrize(
+        "points,ell",
+        [((Singularity(4, 1),), 2), ((Singularity(1, 0), Singularity(5, 4)), 1)],
+        ids=str,
+    )
+    def test_no_quiver_below_three(self, points, ell):
+        """At l <= 2 every point is smooth or a T-point: both invariants
+        are the empty multiset."""
+        empty = IndecMultiset(ell, ())
+        assert psi_invariants(basket(points), ell) == (empty, empty)
 
     def test_difference_is_multiple_of_cycle(self):
         for _ in range(50):
