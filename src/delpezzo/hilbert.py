@@ -351,8 +351,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     frame = _frame(tuple(_candidate_indices(H.den)))
     c = poly_content(H.den)
     cofactor, rest = poly_divmod(frame.den, poly_primitive(H.den))
-    if rest:
-        raise NotASurfaceSeries("denominator has non-cyclotomic factors")
+    if rest:  # _candidate_indices has refused any factor but a Phi_n
+        raise NotASurfaceSeries("denominator has a cyclotomic factor that no orbifold part gives")
     rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
     echelon, bases = frame.system
     solved = echelon.solve(rhs)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import MixedIndex
@@ -18,9 +17,7 @@ from .singularity import (
     Singularity,
     basket,
     basket_pieces,
-    edge_slope,
     hyperplane_sum,
-    hyperplane_sum_chain,
     is_residual,
     maximal_shatter,
 )
@@ -34,18 +31,6 @@ def indecomposables(ell: int) -> tuple[Singularity, ...]:
     return residual_quiver(ell).vertices
 
 
-def _indec_by_slope(ell: int) -> dict[int, Singularity]:
-    """One indecomposable per unit slope: minimal width w with
-    hcf(l, w*c - 1) = 1."""
-    out = {}
-    for c in range(1, ell):
-        if gcd(ell, c) != 1:
-            continue
-        w = next(w for w in range(1, ell + 1) if gcd(ell, w * c - 1) == 1)
-        out[c] = Singularity(w * ell, w * c - 1)
-    return out
-
-
 @dataclass(frozen=True)
 class ResidualQuiver:
     """Cyclically ordered indecomposables; vertex i glues onto vertex i+1."""
@@ -54,28 +39,33 @@ class ResidualQuiver:
     vertices: tuple[Singularity, ...]
 
     def index_of(self, s: Singularity) -> int:
-        return self.vertices.index(s)
+        try:
+            return self.vertices.index(s)
+        except ValueError:
+            raise MixedIndex(
+                f"{s} is not a vertex of the residual quiver at l={self.local_index}"
+            ) from None
 
     def successor(self, s: Singularity) -> Singularity:
-        i = self.vertices.index(s)
-        return self.vertices[(i + 1) % len(self.vertices)]
+        return self.vertices[(self.index_of(s) + 1) % len(self.vertices)]
 
 
 @lru_cache(maxsize=None)
 def residual_quiver(ell: int) -> ResidualQuiver:
-    """Build the phi(l)-cycle, starting at the canonical self-dual vertex."""
+    """The phi(l)-cycle: the maximal shattering of the elementary
+    T-singularity 1/l^2(1, l*c - 1), c = 2 for odd l and 1 for even l.
+
+    Its edge point p(j) is primitive iff hcf(l, 1 - j*c) = 1, and as c is a
+    unit, 1 - j*c runs over every residue mod l: phi(l) cuts in [0, l).  The
+    shard from a cut has width the least w that reaches the next primitive
+    point, so it is indecomposable, and its slope c*(1 - j*c)^-1 runs over
+    every unit once.  The first shard is the canonical self-dual vertex
+    1/l(1,1) for odd l and 1/2l(1,1) for even l.
+    """
     if ell < 3:
         return ResidualQuiver(ell, ())
-    by_slope = _indec_by_slope(ell)
-    start = Singularity(ell, 1) if ell % 2 else Singularity(2 * ell, 1)
-    if by_slope.get(start.slope) != start:
-        raise RuntimeError(f"start vertex {start} is not indecomposable")
-    order = [start]
-    for _ in range(len(by_slope) - 1):
-        # the successor glues on at the end of current, so its slope is the
-        # slope of the shards from there
-        order.append(by_slope[edge_slope(*order[-1].invariants())])
-    if hyperplane_sum(order[-1], start) is None:
+    order = maximal_shatter(Singularity(ell * ell, ell * (1 + ell % 2) - 1))
+    if hyperplane_sum(order[-1], order[0]) is None:
         raise RuntimeError("cycle does not close")
     # dualizing must reverse the cycle, i -> -i: self_duals reads its fixed points
     n = len(order)
@@ -88,15 +78,11 @@ def residual_quiver(ell: int) -> ResidualQuiver:
 
 
 def elementary_t(ell: int, start: Singularity) -> Singularity:
-    """One full quiver cycle glued left to right from the given vertex."""
-    q = residual_quiver(ell)
-    i = q.index_of(start)
-    n = len(q.vertices)
-    chain = [q.vertices[(i + j) % n] for j in range(n)]
-    out = hyperplane_sum_chain(chain)
-    if out is None:
-        raise RuntimeError(f"quiver cycle from {start} does not glue")
-    return out
+    """One full quiver cycle glued left to right from the given vertex: the
+    cone of width l on the edge of start, 1/l^2(1, l*c - 1) with c the slope
+    of start.  MixedIndex when start is not a vertex at l."""
+    residual_quiver(ell).index_of(start)
+    return Singularity(ell * ell, ell * start.slope - 1)
 
 
 def self_duals(ell: int) -> tuple[Singularity, Singularity]:

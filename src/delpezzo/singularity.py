@@ -172,8 +172,10 @@ def normalize_cone(cone: IntCone) -> Singularity:
     """
     u, v = cone.u, cone.v
     r = cone_determinant(u, v)
-    # M in SL2(Z) with M u = e2: rows (u2, -u1) and (x, y), x*u1 + y*u2 = 1
-    x, y = _bezout(u[0], u[1])
+    # M in SL2(Z) with M u = e2: rows (u2, -u1) and (x, y), x*u1 + y*u2 = 1;
+    # another such (x, y) moves w2 by a multiple of r and leaves a alone
+    x = pow(u[0], -1, u[1]) if u[1] else u[0]
+    y = (1 - x * u[0]) // u[1] if u[1] else 0
     w2 = x * v[0] + y * v[1]
     a = (-w2) % r
     if r == 1:
@@ -183,20 +185,6 @@ def normalize_cone(cone: IntCone) -> Singularity:
             f"cone normalizes to non-isolated 1/{r}(1,{a})"
         )
     return Singularity(r, a)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """x, y with x*p + y*q = gcd(p, q) = 1 for primitive (p, q)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    a, b = p, q
-    while b:
-        t = a // b
-        a, b = b, a - t * b
-        x0, x1 = x1, x0 - t * x1
-        y0, y1 = y1, y0 - t * y1
-    if a == -1:
-        x0, y0 = -x0, -y0
-    return x0, y0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def residue(s: Singularity) -> tuple[Optional[Singularity], list[Classification]
 # hyperplane sum and friends
 
 
-def edge_slope(ell: int, j: int, c: int) -> int:
+def _edge_slope(ell: int, j: int, c: int) -> int:
     """c*(1 - j*c)^-1 mod l: the slope of every shard that starts at the
     j-th edge point p(j) of a cone of local index l and slope c."""
     return c * pow(1 - j * c, -1, ell) % ell
@@ -258,7 +246,7 @@ def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
     with rows (1 - i*c, -i*l) and (x, y), x*i*l + y*(1 - i*c) = 1, sends
     p(i) to e2 and p(j) = p(i) + w*(l,-c), w = j - i, to
     (w*l, 1 + w*(x*l - y*c)), and y = (1 - i*c)^-1 mod l.  So the shard is
-    1/(w*l)(1, w*c_i - 1) with c_i = edge_slope(l, i, c), smooth at w*l = 1.
+    1/(w*l)(1, w*c_i - 1) with c_i = _edge_slope(l, i, c), smooth at w*l = 1.
     """
     ell, _, c = s.invariants()
     for j in cuts:
@@ -267,7 +255,7 @@ def _shards(s: Singularity, cuts: Sequence[int]) -> list[Singularity]:
     out = []
     for i, j in zip(cuts, cuts[1:]):
         r = (j - i) * ell
-        out.append(Singularity(r, ((j - i) * edge_slope(ell, i, c) - 1) % r))
+        out.append(Singularity(r, ((j - i) * _edge_slope(ell, i, c) - 1) % r))
     return out
 
 
@@ -282,22 +270,9 @@ def hyperplane_sum(s1: Singularity, s2: Singularity) -> Optional[Singularity]:
     if s1.is_smooth or s2.is_smooth:
         return None
     ell, k1, c1 = s1.invariants()
-    if ell != s2.local_index or ell < 2 or s2.slope != edge_slope(ell, k1, c1):
+    if ell != s2.local_index or ell < 2 or s2.slope != _edge_slope(ell, k1, c1):
         return None
     return _shards(s1, (0, k1 + s2.width))[0]
-
-
-def hyperplane_sum_chain(parts: Sequence[Singularity]) -> Optional[Singularity]:
-    """Left-to-right hyperplane sum of a sequence; None if any step fails."""
-    if not parts:
-        return None
-    acc = parts[0]
-    for nxt in parts[1:]:
-        summed = hyperplane_sum(acc, nxt)
-        if summed is None:
-            return None
-        acc = summed
-    return acc
 
 
 def hyperplane_inverse(s: Singularity) -> Singularity:

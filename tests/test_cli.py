@@ -298,6 +298,24 @@ class TestExitCodes:
         assert run("analyze", "1/0").stderr.startswith("error: ParseError: division by zero")
         assert run("analyze", "1/t").stderr.startswith("error: NotASurfaceSeries")
 
+    @pytest.mark.parametrize("text", [
+        "1/((1-t)^3*(1+t))",  # Phi_2 and no even candidate index
+        "1/(1-t^2)^3",  # Phi_2 more often than the frame holds it
+    ])
+    def test_unexplained_cyclotomic_factor_is_named(self, text):
+        p = run("analyze", text)
+        assert p.returncode == 1
+        assert p.stderr == ("error: NotASurfaceSeries: denominator has a cyclotomic "
+                            "factor that no orbifold part gives\n")
+
+
+def test_selftest_passes_without_asserts():
+    """The quiver's soundness checks and the headline numbers, under -O."""
+    p = subprocess.run([sys.executable, "-O", "-m", "delpezzo", "selftest"],
+                       capture_output=True, text=True, timeout=600, env=CHILD_ENV)
+    assert p.returncode == 0, p.stdout + p.stderr
+    assert p.stdout.splitlines()[-1] == "selftest OK"
+
 
 class TestInProcess:
     """cli.main called in the same process, as embedding programs and the

@@ -3,6 +3,7 @@ delta-vector lattice, and cancelling tuples."""
 
 import itertools
 import random
+import re
 from math import gcd
 
 import pytest
@@ -32,7 +33,7 @@ from delpezzo.exactalg import (
     poly_divmod,
 )
 from delpezzo.hilbert import zero_delta
-from delpezzo.quiver import IndecMultiset, _indec_by_slope, elementary_t, hyperplane_sum_chain
+from delpezzo.quiver import IndecMultiset, elementary_t
 from delpezzo.singularity import is_residual, residuals_of_index
 
 rng = random.Random(20260824)
@@ -40,6 +41,31 @@ rng = random.Random(20260824)
 
 def totient(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def hyperplane_sum_chain(parts):
+    """Left-to-right hyperplane sum of a sequence; None if any step fails.
+    The gluing oracle of elementary_t and of the regrouping search."""
+    if not parts:
+        return None
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = hyperplane_sum(acc, nxt)
+        if acc is None:
+            return None
+    return acc
+
+
+def _indec_by_slope(ell):
+    """One indecomposable per unit slope: minimal width w with
+    hcf(l, w*c - 1) = 1."""
+    out = {}
+    for c in range(1, ell):
+        if gcd(ell, c) != 1:
+            continue
+        w = next(w for w in range(1, ell + 1) if gcd(ell, w * c - 1) == 1)
+        out[c] = Singularity(w * ell, w * c - 1)
+    return out
 
 
 def pair_counts(m):
@@ -170,6 +196,29 @@ class TestResidualQuiver:
 
     def test_elementary_t_from_start(self):
         assert elementary_t(3, Singularity(3, 1)) == Singularity(9, 5)
+
+    def test_elementary_t_is_the_glued_cycle_up_to_60(self):
+        for ell in range(3, 61):
+            verts = residual_quiver(ell).vertices
+            n = len(verts)
+            for i, v in enumerate(verts):
+                glued = hyperplane_sum_chain([verts[(i + j) % n] for j in range(n)])
+                assert elementary_t(ell, v) == glued, (ell, v)
+
+    @pytest.mark.parametrize("ell, s", [
+        (5, Singularity(7, 1)),  # another local index
+        (2, Singularity(4, 1)),  # no quiver below three
+        (5, Singularity(25, 9)),  # a T-point, not a vertex
+    ])
+    def test_elementary_t_names_a_non_vertex(self, ell, s):
+        with pytest.raises(MixedIndex, match=re.escape(f"{s} is not a vertex of the residual quiver at l={ell}")):
+            elementary_t(ell, s)
+
+    def test_successor_and_index_of_name_a_non_vertex(self):
+        q = residual_quiver(5)
+        for method in (q.successor, q.index_of):
+            with pytest.raises(MixedIndex, match=re.escape("1/15(1,2) is not a vertex of the residual quiver at l=5")):
+                method(Singularity(15, 2))
 
 
 class TestSelfDuals:

@@ -61,6 +61,15 @@ class TestNormalForm:
         with pytest.raises(DegenerateCone):
             normalize_cone(IntCone((1, 0), (2, 0)))
 
+    @pytest.mark.parametrize("u", [(1, 0), (-1, 0), (0, -1), (3, 1), (-4, 1), (2, -1), (5, -3), (-7, -2)])
+    def test_first_ray_with_u1_zero_one_or_negative(self, u):
+        """The cone M*(e2, (r,-a)) for M in SL2(Z) with M e2 = u, found by a
+        search, whatever the sign and size of u's second coordinate."""
+        p, q = next((p, q) for p in range(-9, 10) for q in range(-9, 10) if p * u[1] - q * u[0] == 1)
+        for s in (Singularity(5, 2), Singularity(12, 5), Singularity(7, 1), Singularity(1, 0)):
+            w = (p * s.r - u[0] * s.a, q * s.r - u[1] * s.a)
+            assert normalize_cone(IntCone(u, w)) == s, (u, s)
+
     def test_invariant_under_random_sl2_words(self):
         """Apply random words in the elementary SL2(Z) generators to the
         defining cone; the oriented normal form must not change."""
