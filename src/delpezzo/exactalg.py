@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityExceeded
@@ -454,8 +455,9 @@ class Reducer:
                 break
         return m
 
-    def normal_form(self, v: tuple) -> tuple:
-        """signed(v) minus the first element under it, repeated.
+    def reduce(self, v: tuple) -> tuple:
+        """v minus the first element under it, repeated: the bare normal
+        form, with no sign masks.
 
         The first element under v in list order is the lowest bit of
         under(v).  Every element subtracted lies under the vector it is
@@ -465,9 +467,12 @@ class Reducer:
         while True:
             m = self.under(v)
             if not m:
-                return signed(v)
-            g = self.elems[(m & -m).bit_length() - 1][0]
-            v = tuple([a - b for a, b in zip(v, g)])
+                return v
+            v = tuple(map(sub, v, self.elems[(m & -m).bit_length() - 1][0]))
+
+    def normal_form(self, v: tuple) -> tuple:
+        """signed(reduce(v))."""
+        return signed(self.reduce(v))
 
 
 def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, int]:
@@ -486,7 +491,7 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
     red = Reducer()
     for b in basis:
         red.add(signed(b))
-        red.add(signed(tuple([-x for x in b])))
+        red.add(signed(tuple(map(neg, b))))
     elems = red.elems
     steps = k = 0
     # f runs over the even positions only: the pairs of -f are the
@@ -502,10 +507,11 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
                     f"{steps} pairs reduced, |G| = {len(elems)}"
                 )
             steps += 1
-            r = red.normal_form(tuple([a + b for a, b in zip(f, g)]))
-            if r[1] | r[2]:
+            r = red.reduce(tuple(map(add, f, g)))
+            if any(r):  # -r has the masks of r swapped
+                r = signed(r)
                 red.add(r)
-                red.add(signed(tuple([-x for x in r[0]])))
+                red.add((tuple(map(neg, r[0])), r[2], r[1]))
         k += 2
     # v is minimal when it is the only element under itself
     minimal = [v for j, v in enumerate(elems) if red.under(v[0]) == 1 << j]
@@ -544,10 +550,10 @@ def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple]
                     f"|G0| = {len(graver)}, {len(fiber)} fiber elements so far"
                 )
             steps += 1
-            r = graver.normal_form(tuple([a + b for a, b in zip(f, g)]))
-            if r[0] not in seen:
-                seen.add(r[0])
-                fiber.append(r)
+            r = graver.reduce(tuple(map(add, f, g)))
+            if r not in seen:  # masks only for the vectors kept
+                seen.add(r)
+                fiber.append(signed(r))
         k += 1
     return [v[0] for v in fiber], steps
 

@@ -83,7 +83,7 @@ class DeltaVector:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def is_palindromic(self) -> bool:
         return self.entries == self.entries[::-1]
@@ -458,41 +458,55 @@ def parse_rational_function(text: str) -> RationalFunction:
     parentheses.  Nesting past _NESTING_LIMIT (the recursion would exhaust
     the stack), an exponent past _EXPONENT_LIMIT, a product or power past
     _SIZE_LIMIT bits (checked before it is built) and division by zero
-    raise ParseError.  Subexpressions stay unreduced pairs (num, den) over
-    Z[t], and a run of + and - terms adds into one list; one final
-    RationalFunction.make gives the canonical form that reducing at every
-    node would, as Z[t] is a domain.
+    raise ParseError.  A product of literals and powers of t stays a
+    monomial (c, s) for c*t^s, which a run of + and - terms adds straight
+    into coefficient s of its list; other subexpressions stay unreduced
+    pairs (num, den) over Z[t].  One final RationalFunction.make gives the
+    canonical form that reducing at every node would, as Z[t] is a domain.
     """
     tokens = [*_tokenize(text), None]
 
-    # each rule takes the index of its first token and returns (num, den, next index)
+    # each rule takes the index of its first token and returns (num, den,
+    # next index); den is None when num is a monomial (c, s)
     def expr(i, depth):
-        num, den, i = term(i, depth)
-        op, acc = tokens[i], list(num)
-        while op == "+" or op == "-":
-            n, d, i = term(i + 1, depth)
-            if d != den:  # the terms of a polynomial all have den 1
-                acc, n, den = list(_product(poly(acc), d, text)), _product(n, den, text), _product(den, d, text)
-            acc += [0] * (len(n) - len(acc))
-            if op == "+":
-                for j, x in enumerate(n):
-                    acc[j] += x
+        acc, den, op = [], (1,), "+"
+        while True:
+            n, d, i = term(i, depth)
+            if d is None and den == (1,):  # c*t^s adds into coefficient s
+                acc += [0] * (n[1] + 1 - len(acc))
+                acc[n[1]] += n[0] if op == "+" else -n[0]
             else:
+                if d is None:
+                    n, d = _monomial(n), (1,)
+                if d != den:  # the terms of a polynomial all have den 1
+                    acc, n, den = list(_product(poly(acc), d, text)), _product(n, den, text), _product(den, d, text)
+                acc += [0] * (len(n) - len(acc))
                 for j, x in enumerate(n):
-                    acc[j] -= x
+                    acc[j] += x if op == "+" else -x
             op = tokens[i]
-        return poly(acc), den, i
+            if op != "+" and op != "-":
+                return poly(acc), den, i
+            i += 1
 
     def term(i, depth):
         num, den, i = factor(i, depth)
         op = tokens[i]
         while op == "*" or op == "/":
             n, d, i = factor(i + 1, depth)
-            if op == "/":
-                if not n:  # only a divisor's num can be zero here
-                    raise ParseError(f"division by zero in {text!r}")
-                n, d = d, n
-            num, den = _product(num, n, text), _product(den, d, text)
+            if op == "*" and den is None and d is None:  # checked as _product checks c*t^s
+                c = num[0] * n[0]
+                num = (c, num[1] + n[1]) if c else (0, 0)
+                _size_check(num[1] + 1, c.bit_length(), text)
+            else:
+                if den is None:
+                    num, den = _monomial(num), (1,)
+                if d is None:
+                    n, d = _monomial(n), (1,)
+                if op == "/":
+                    if not n:  # only a divisor's num can be zero here
+                        raise ParseError(f"division by zero in {text!r}")
+                    n, d = d, n
+                num, den = _product(num, n, text), _product(den, d, text)
             op = tokens[i]
         return num, den, i
 
@@ -511,7 +525,7 @@ def parse_rational_function(text: str) -> RationalFunction:
                 raise ParseError(f"unexpected token {tokens[i]!r} in {text!r}")
             i += 1
         elif tok == "t" or isinstance(tok, int):
-            num, den, i = (0, 1) if tok == "t" else (tok,) if tok else (), (1,), i + 1
+            num, den, i = (1, 1) if tok == "t" else (tok, 0), None, i + 1
         else:
             raise ParseError(f"unexpected token {tok!r} in {text!r}")
         while tokens[i] == "^":
@@ -520,8 +534,16 @@ def parse_rational_function(text: str) -> RationalFunction:
                 if exp is None:
                     raise ParseError(f"unexpected token None in {text!r}")
                 raise ParseError(f"exponent must be an integer 0..{_EXPONENT_LIMIT} in {text!r}")
-            num, den, i = _power(num, exp, text), _power(den, exp, text), i + 2
-        return (num, den, i) if sign == 1 else (poly_neg(num), den, i)
+            if den is None:  # checked as _power checks c*t^s
+                if num[0] and num != (1, 0):
+                    _size_check(exp * num[1] + 1, exp * (abs(num[0]) - 1).bit_length() + 1, text)
+                num = num[0] ** exp, num[1] * exp
+            else:
+                num, den = _power(num, exp, text), _power(den, exp, text)
+            i += 2
+        if sign == 1:
+            return num, den, i
+        return ((-num[0], num[1]) if den is None else poly_neg(num)), den, i
 
     num, den, i = expr(0, 0)
     if i != len(tokens) - 1:
@@ -539,9 +561,15 @@ def _product(p: tuple, q: tuple, text: str) -> tuple:
     """p*q, checked before it is built: |p|_1 * |q|_1 bounds its coefficients."""
     if p == (1,) or q == (1,):
         return q if p == (1,) else p
-    if p and q:
-        _size_check(len(p) + len(q) - 1, (sum(map(abs, p)) * sum(map(abs, q))).bit_length(), text)
+    if not (p and q):
+        return ()
+    _size_check(len(p) + len(q) - 1, (sum(map(abs, p)) * sum(map(abs, q))).bit_length(), text)
     return poly_mul(p, q)
+
+
+def _monomial(m: tuple) -> tuple:
+    """The polynomial c*t^s of the monomial m = (c, s)."""
+    return (0,) * m[1] + (m[0],) if m[0] else ()
 
 
 def _power(p: tuple, k: int, text: str) -> tuple:

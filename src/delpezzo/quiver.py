@@ -208,15 +208,11 @@ def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     return None
 
 
-def _cancelling_single_index(piece: Basket) -> Optional[Basket]:
-    items = [s for s in piece if not orbifold_contribution(s).is_zero]
-    # T-singularities are themselves cancelling (zero Q)
-    trivial = [s for s in piece if orbifold_contribution(s).is_zero]
-    if trivial:
-        return basket(trivial[:1])
-    if not items:
-        return None
+def _cancelling_single_index(items: Basket) -> Optional[Basket]:
     deltas = [orbifold_contribution(s).entries for s in items]
+    for s, d in zip(items, deltas):
+        if not any(d):  # a T-singularity is itself cancelling (zero Q)
+            return basket([s])
     half = len(items) // 2
     left = _subset_sums(deltas[:half])
     right = _subset_sums(deltas[half:])

@@ -206,15 +206,15 @@ def _reduced_bodies(parts: dict) -> dict:
 
 
 def analyze_series(h: RationalFunction) -> FeasibilityReport:
-    """Assess every combination of per-index reduced baskets against the
-    invisible-basket degree budget IK^2 = 12 - K^2 - RK^2."""
+    """Assess every combination of per-index reduced baskets: a choice is
+    Feasible when K^2 > 0 and IK^2 = 12 - K^2 - RK^2 is a nonnegative integer."""
     k2, parts = split_series(h)
     bodies = _reduced_bodies(parts)
     choices = []
     for combo in itertools.product(*[zip(b.baskets, b.per_basket_rk2) for b in bodies.values()]):
         rk2 = sum([a for _, a in combo], Fraction(0))
         ik2 = 12 - k2 - rk2
-        feasible = ik2 >= 0 and ik2.denominator == 1
+        feasible = k2 > 0 and ik2 >= 0 and ik2.denominator == 1
         choices.append(
             FeasibilityChoice(
                 tuple(zip(bodies, [b for b, _ in combo])),

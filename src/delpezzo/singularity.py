@@ -310,7 +310,7 @@ Basket = tuple[Singularity, ...]
 
 def basket(items) -> Basket:
     """Canonical basket: isomorphism-class representatives, sorted."""
-    reps = [Singularity(*s.iso_key()) for s in items]
+    reps = [s if (k := s.iso_key()) == (s.r, s.a) else Singularity(*k) for s in items]
     reps.sort(key=lambda s: (s.r, s.a))
     return tuple(reps)
 

@@ -169,6 +169,16 @@ class TestAnalyze:
         assert lines[1] == "choice 1: " + ", ".join(["1/5(1,1)"] * 10) + " RK2=2 IK2=8 FEASIBLE"
         assert lines[121].startswith("choice 121: ") and lines[122] == "verdict=FEASIBLE"
 
+    @pytest.mark.parametrize("k2, ik2", [("-1", "13"), ("-5/2", "29/2")])
+    def test_nonpositive_degree_is_no_surface(self, k2, ik2):
+        """A del Pezzo surface has K^2 > 0, so even the empty basket with a
+        nonnegative integer IK^2 is infeasible at K^2 = -1."""
+        h = run("series", f"--k2={k2}", "{}").stdout.splitlines()[1]
+        p = run("analyze", h.removeprefix("H="))
+        assert p.returncode == 0
+        assert p.stdout.splitlines() == [f"K2={k2}", f"choice 1: {{}} RK2=0 IK2={ik2} INFEASIBLE",
+                                         "verdict=NO_SURFACE"]
+
     def test_plane_budget(self):
         p = run("analyze", "(1+7*t+t^2)/(1-t)^3")
         lines = p.stdout.splitlines()

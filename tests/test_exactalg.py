@@ -17,7 +17,7 @@ from operator import le
 
 import pytest
 
-from delpezzo import Singularity, orbifold_contribution
+from delpezzo import Singularity, exactalg, orbifold_contribution
 from delpezzo.errors import CapacityExceeded
 from delpezzo.exactalg import (
     RationalFunction,
@@ -499,6 +499,22 @@ class TestReducer:
             assert list(red) == elems
         assert queries > 4000
 
+    @pytest.mark.parametrize("ell", [5, 7, 9])
+    def test_reduce_is_the_bare_normal_form_under_g0(self, ell):
+        """Against G0 of ker Phi+ at l, on seeded vectors: reduce(v) is
+        normal_form(v) without its masks, and both give the linear scan's
+        normal form."""
+        phi = [orbifold_contribution(s).entries for s in res_plus(ell)]
+        g0, _ = graver_completion(int_kernel(phi), PAIR_BUDGET)
+        elems, draw, moved = list(g0), random.Random(ell), 0
+        for _ in range(300):
+            v = tuple([draw.randint(-4, 4) for _ in phi])
+            got = g0.reduce(v)
+            assert got == g0.normal_form(v)[0] == normal_form(v, elems)[0], v
+            assert g0.normal_form(v) == signed(got) == normal_form(v, elems)
+            moved += got != v
+        assert moved > 100
+
     def test_under_is_the_set_of_elements_under(self):
         elems = [signed(g) for g in [(1, 0, -2), (0, 0, 1), (2, -1, 0), (1, 0, -1)]]
         red = Reducer(elems)
@@ -566,6 +582,24 @@ class TestGraverBasis:
         got, pairs = graver_fiber(g0, x0, node_cap=2602)
         assert (len(got), pairs) == (35, 2602)
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "59eb2a456ae9981f"
+
+    def test_lift_masks_only_the_vectors_it_keeps(self, monkeypatch):
+        """The lift at 1/7(1,1) reduces 2,602 pairs to 35 fiber vectors;
+        it forms the sign masks of each vector it returns, and of no
+        normal form it drops."""
+        phi = [orbifold_contribution(s).entries for s in res_plus(7)]
+        g0, _ = graver_completion(int_kernel(phi), PAIR_BUDGET)
+        x0 = int_solve(phi, orbifold_contribution(Singularity(7, 1)).entries)
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return signed(v)
+
+        monkeypatch.setattr(exactalg, "signed", counted)
+        got, pairs = graver_fiber(g0, x0, PAIR_BUDGET)
+        assert (len(got), pairs) == (35, 2602)
+        assert calls[0] <= len(got) + 1
 
 
 class TestRationalFunction:

@@ -1145,6 +1145,7 @@ class TestParser:
             ("((2^10000)^10000)^10000", 1 << 20),
             ("(t^10000)^100", 1 << 20),
             ("(t^10000)^20*(t^10000)^20", 1 << 23),  # builds its two factors only
+            ("*".join(["t^10000"] * 30), 1 << 20),  # a monomial, refused at t^260000 unbuilt
         ],
     )
     def test_size_bound_refuses_before_building(self, text, most_bytes):
@@ -1171,6 +1172,20 @@ class TestParser:
                     points.append(Singularity(r, a))
             h = assemble_series(basket(points), Fraction(local.randint(1, 60), local.randint(1, 12))).series
             yield fmt_rational_function(h), h
+
+    def test_rendered_series_build_no_product(self, monkeypatch):
+        """Each c*t^k term of a rendered series is a monomial added into
+        its coefficient list: no poly_mul and no power, and the quotient of
+        the two parenthesized polynomials takes a few products by 1 or by
+        the empty sum, however many terms the series has."""
+        texts = [text for text, _ in self.rendered_series(random.Random(22022), 40)]
+        calls = {}
+        for name in ("poly_mul", "_product", "_power"):
+            calls[name] = TestWorkPins.counter(None, monkeypatch, hilbert, name)
+        for text in texts:
+            parse_rational_function(text)
+        assert calls["poly_mul"] == calls["_power"] == [0]
+        assert calls["_product"][0] <= 5 * len(texts)
 
     def test_rendered_series_parse_back(self):
         for text, h in self.rendered_series(random.Random(16016), 150):

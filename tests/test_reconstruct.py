@@ -481,6 +481,25 @@ class TestAnalyzeSeries:
         assert any(c.invisible_budget == 3 for c in report.per_choice)
         assert not report.toric_impossible
 
+    @pytest.mark.parametrize("points", [[], [Singularity(3, 1)], [Singularity(5, 2)] * 2])
+    @pytest.mark.parametrize("k2", [Fraction(-1), Fraction(-5, 2)])
+    def test_nonpositive_degree_is_no_surface(self, points, k2):
+        """A del Pezzo surface has K^2 > 0: at K^2 < 0 no choice is
+        Feasible, not even one whose IK^2 is a nonnegative integer.  K^2 is
+        shifted by the fractional part of RK^2, so that IK^2 = 12 - K^2 -
+        RK^2 is an integer for K^2 = -1 and not for K^2 = -5/2."""
+        b = basket(points)
+        shifted = k2 - sum((degree_contribution(s) for s in b), Fraction(0)) % 1
+        report = analyze_series(assemble_series(b, shifted).series)
+        assert report.k_squared == shifted < 0
+        budgets = [c.invisible_budget for c in report.per_choice]
+        if k2.denominator == 1:
+            assert any(x >= 0 and x.denominator == 1 for x in budgets)
+        else:
+            assert all(x.denominator == 2 for x in budgets)
+        assert report.verdict == "NoSurface" and not report.toric_impossible
+        assert all(c.verdict == "Infeasible" for c in report.per_choice)
+
     def test_roundtrip_reduced_basket_is_feasible_choice(self):
         pool = RES_PLUS_5 + tuple(hyperplane_inverse(s) for s in RES_PLUS_5)
         tried = 0

@@ -1,6 +1,7 @@
 """perfbench/tracing.py looks up the library functions it traces by name.
-A name that no longer resolves fails only the benchmark's own tests,
-which this suite does not collect, so the names are checked here."""
+A name that no longer resolves fails the traced run of the benchmark's
+smoke test, perfbench/test_smoke.py, which the suite also collects; this
+check names the missing function directly."""
 
 import importlib
 import importlib.util
