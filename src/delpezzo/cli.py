@@ -132,8 +132,13 @@ def int_at_least(low: int):
 
 
 def parse_delta_entries(text: str):
+    """The entries d1,d2,... of a delta-vector, with or without parentheses;
+    "" and "()" are the empty vector, which contrib prints at l <= 2."""
+    body = text.replace("(", "").replace(")", "")
+    if not body.strip():
+        return ()
     try:
-        return tuple(ascii_int(x, signed=True) for x in text.replace("(", "").replace(")", "").split(","))
+        return tuple(ascii_int(x, signed=True) for x in body.split(","))
     except ValueError as exc:
         raise ParseError(f"cannot parse delta-vector {text!r}") from exc
 

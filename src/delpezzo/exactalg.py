@@ -485,7 +485,10 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
     from any lattice basis and its negatives, reduces the sum of each pair
     that is not conformal by subtracting elements that lie under it, and
     adds a nonzero remainder to the set; a last pass keeps the ⊑-minimal
-    elements.  Each reduced pair is one step against node_cap; reaching it
+    elements.  A sum formed before is not reduced again: its first normal
+    form is zero or in the set, so it is a conformal sum of elements of the
+    set, which is all the completion asks of a pair.  Each pair that is not
+    conformal is one step against node_cap, reduced or not; reaching it
     raises CapacityExceeded, never a partial basis.
     """
     red = Reducer()
@@ -493,6 +496,7 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
         red.add(signed(b))
         red.add(signed(tuple(map(neg, b))))
     elems = red.elems
+    formed = set()
     steps = k = 0
     # f runs over the even positions only: the pairs of -f are the
     # negatives of the pairs of f, and so are their normal forms
@@ -507,7 +511,11 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
                     f"{steps} pairs reduced, |G| = {len(elems)}"
                 )
             steps += 1
-            r = red.reduce(tuple(map(add, f, g)))
+            v = tuple(map(add, f, g))
+            if v in formed:
+                continue
+            formed.add(v)
+            r = red.reduce(v)
             if any(r):  # -r has the masks of r swapped
                 r = signed(r)
                 red.add(r)
@@ -533,8 +541,12 @@ def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple]
     as f + a sum from graver with least 1-norm; a pair in sign conflict
     could be replaced by a conformal sum of smaller 1-norm (from graver, or
     the normal form of f + g plus the elements it subtracted), so the sum is
-    conformal and w = f.  Each reduced pair is one step against node_cap;
-    reaching it raises CapacityExceeded, never a partial fiber.
+    conformal and w = f.  Each distinct sum is reduced once: seen holds the
+    fiber vectors and every sum formed, and a sum in it is a fiber vector,
+    its own normal form, or a repeat.  A normal form is never a sum formed
+    but not kept, for a sum that is a normal form is its own.  Each pair that
+    is not conformal is one step against node_cap, reduced or not; reaching
+    it raises CapacityExceeded, never a partial fiber.
     """
     fiber = [graver.normal_form(x0)]
     seen = {fiber[0][0]}
@@ -550,10 +562,14 @@ def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple]
                     f"|G0| = {len(graver)}, {len(fiber)} fiber elements so far"
                 )
             steps += 1
-            r = graver.reduce(tuple(map(add, f, g)))
+            v = tuple(map(add, f, g))
+            if v in seen:
+                continue
+            r = graver.reduce(v)
             if r not in seen:  # masks only for the vectors kept
-                seen.add(r)
                 fiber.append(signed(r))
+                seen.add(r)
+            seen.add(v)
         k += 1
     return [v[0] for v in fiber], steps
 

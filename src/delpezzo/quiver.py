@@ -200,12 +200,30 @@ def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     that half, and the work grows with that product rather than with
     2^(items).
     """
-    pieces = basket_pieces(list(b))
-    for piece in pieces.values():
+    items = tuple(b)
+    for piece in (items,) if _is_one_piece(items) else basket_pieces(items).values():
         witness = _cancelling_single_index(piece)
         if witness is not None:
             return witness
     return None
+
+
+def _is_one_piece(items: Basket) -> bool:
+    """Whether basket_pieces would return items as its one piece: canonical
+    points of one local index in (r, a) order.  A run of one point object
+    is checked once."""
+    prev = None
+    for s in items:
+        if s is prev:
+            continue
+        if prev is None:
+            ell = s.local_index
+        elif (s.r, s.a) < (prev.r, prev.a) or s.local_index != ell:
+            return False
+        if s.iso_key() != (s.r, s.a):
+            return False
+        prev = s
+    return True
 
 
 def _cancelling_single_index(items: Basket) -> Optional[Basket]:

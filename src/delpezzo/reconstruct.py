@@ -8,7 +8,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import CapacityExceeded, Infeasible, LengthMismatch, MixedIndex, NotRealizable
@@ -16,7 +17,7 @@ from .exactalg import (
     Echelon, RationalFunction, Reducer, column_echelon, graver_completion, graver_fiber,
 )
 from .hilbert import (
-    DeltaVector, degree_contribution, orbifold_contribution, split_series, zero_delta,
+    DeltaVector, degree_contribution, orbifold_contribution, split_series,
 )
 from .quiver import (
     IndecMultiset,
@@ -26,7 +27,7 @@ from .quiver import (
     residual_quiver,
 )
 from .singularity import (
-    Basket, Singularity, basket, hyperplane_inverse, is_residual, residuals_of_index, residue,
+    Basket, Singularity, hyperplane_inverse, is_residual, residuals_of_index, residue,
 )
 
 # reduced pairs allowed to each stage of enumerate_reduced_baskets: the
@@ -62,6 +63,43 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
     return tuple(reps)
 
 
+@lru_cache(maxsize=None)
+def _class_table(ell: int) -> tuple[tuple, int]:
+    """(rows, D): one row per Res+ coordinate, and the least common
+    denominator D of the degree contributions of the points in the rows.
+
+    Row i is ((rank, P, D*A(P)), (rank, N, D*A(N))): P the canonical point
+    of class i, which a positive coordinate selects, N the canonical point
+    of its hyperplane inverse, which a negative one selects, and rank the
+    position of the point among all 2|Res+| of them in (r, a) order.  It
+    needs res_plus(l) only, not the Graver basis of ker Phi+.
+    """
+    pairs = [(s, Singularity(*hyperplane_inverse(s).iso_key())) for s in res_plus(ell)]
+    points = sorted([p for pair in pairs for p in pair], key=lambda s: (s.r, s.a))
+    rank = {p: i for i, p in enumerate(points)}
+    degree = {p: degree_contribution(p) for p in points}
+    denom = lcm(*[a.denominator for a in degree.values()])
+    rows = tuple([
+        tuple([(rank[p], p, degree[p].numerator * (denom // degree[p].denominator)) for p in pair])
+        for pair in pairs
+    ])
+    return rows, denom
+
+
+def _assemble(rows: tuple, v: Sequence[int]) -> tuple[Basket, tuple, int]:
+    """(basket, ranks, D*RK^2) of the signed Res+ vector v from the rows of
+    _class_table: the canonical points in (r, a) order, their ranks in the
+    same order, which sort baskets as their (r, a) keys do, and the sum of
+    their degree numerators."""
+    parts = sorted([(row[x < 0], abs(x)) for row, x in zip(rows, v) if x])
+    points, ranks, rk2 = [], [], 0
+    for (rank, p, a), m in parts:
+        points += [p] * m
+        ranks += [rank] * m
+        rk2 += a * m
+    return tuple(points), tuple(ranks), rk2
+
+
 @dataclass(frozen=True)
 class SignedBasketVector:
     """Integer coordinates over Res+(l); negatives select the inverse class."""
@@ -70,14 +108,12 @@ class SignedBasketVector:
     coords: tuple
 
     def basket(self) -> Basket:
-        reps = res_plus(self.local_index)
-        out = []
-        for i, v in enumerate(self.coords):
-            if v > 0:
-                out.extend([reps[i]] * v)
-            elif v < 0:
-                out.extend([hyperplane_inverse(reps[i])] * (-v))
-        return basket(out)
+        rows, _ = _class_table(self.local_index)
+        if len(self.coords) != len(rows):
+            raise LengthMismatch(
+                f"{len(self.coords)} coordinates, but Res+({self.local_index}) has {len(rows)} classes"
+            )
+        return _assemble(rows, self.coords)[0]
 
 
 def features_in(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -152,20 +188,21 @@ def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult
         minimal, _ = graver_fiber(graver, solved[0], PAIR_BUDGET)
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: {exc}") from None
+    rows, denom = _class_table(ell)
     # the lift returns at least the normal form of x0
-    baskets, vectors = zip(*sorted(
-        ((SignedBasketVector(ell, v).basket(), v) for v in minimal),
-        key=lambda bv: tuple([s.iso_key() for s in bv[0]]),
+    baskets, _, numerators, vectors = zip(*sorted(
+        [(*_assemble(rows, v), v) for v in minimal], key=itemgetter(1)
     ))
     # soundness: re-verify the exact Q-sum and cancelling-freeness
+    target = tuple(delta.entries)
     for b in baskets:
-        total = sum((orbifold_contribution(s) for s in b), zero_delta(ell))
-        if total != delta:
-            raise RuntimeError(f"basket {b} has {total}, not {delta}")
+        total = tuple(map(sum, zip(*[orbifold_contribution(s).entries for s in b])))
+        if total != target:
+            raise RuntimeError(f"basket {b} has delta {total}, not {target}")
         if contains_cancelling_tuple(b) is not None:
             raise RuntimeError(f"basket {b} contains a cancelling tuple")
-    rk2 = tuple([sum([degree_contribution(s) for s in b], Fraction(0)) for b in baskets])
-    if len({x % 1 for x in rk2}) > 1:
+    rk2 = tuple([Fraction(x, denom) for x in numerators])
+    if len({x % denom for x in numerators}) > 1:
         raise RuntimeError(f"RK^2 values {rk2} differ modulo 1")
     return ReducedBodyResult(ell, delta, True, baskets, vectors, rk2)
 

@@ -136,6 +136,21 @@ class TestReduce:
         assert p.returncode == 1
         assert p.stderr.startswith("error: NotRealizable")
 
+    @pytest.mark.parametrize("ell, text", [("1", "()"), ("2", "")])
+    def test_empty_delta_reads_back(self, ell, text):
+        """contrib prints delta=() at l <= 2; reduce reads it back as the
+        zero vector, whose one reduced basket is the empty one."""
+        assert run("contrib", "1/2(1,1)").stdout.splitlines()[0] == "delta=()"
+        p = run("reduce", ell, text)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout.splitlines() == ["count=1", "(): {} RK2=0"]
+
+    def test_empty_delta_keeps_the_length_check(self):
+        p = run("reduce", "3", "")
+        assert p.returncode == 1
+        assert p.stderr.startswith("error: LengthMismatch")
+        assert "Traceback" not in p.stderr
+
 
 class TestAnalyze:
     def test_no_surface(self):
@@ -202,6 +217,11 @@ class TestBoundsAndCounts:
         assert run("count-bound", "5", "5:2,1,2").stdout.strip() == "N=82"
         assert run("count-bound", "10", "5:2,1,2").stdout.strip() == "N=147"
         assert count_bound({5: DeltaVector(5, (2, 1, 2))}, 5) == 82
+
+    def test_count_bound_reads_an_empty_delta(self):
+        """2: is the zero vector at l = 2, which adds nothing to the bound."""
+        p = run("count-bound", "5", "2:")
+        assert (p.returncode, p.stdout.strip()) == (0, f"N={count_bound({}, 5)}")
 
     def test_count_bound_refuses_a_repeated_index(self):
         p = run("count-bound", "5", "5:1,-2,1", "5:2,1,2")

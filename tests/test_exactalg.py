@@ -583,6 +583,31 @@ class TestGraverBasis:
         assert (len(got), pairs) == (35, 2602)
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "59eb2a456ae9981f"
 
+    def test_each_distinct_sum_is_reduced_once(self, monkeypatch):
+        """At l = 7 the completion forms 2,979 pairs but at most 1,111
+        distinct sums.  The lift at 1/7(1,1) forms 2,602 pairs, and only
+        667 of their sums are new and not fiber vectors already: with the
+        normal form of x0 that is 668 reductions.  Pairs, |G| and the fiber
+        stay as pinned above."""
+        phi = [orbifold_contribution(s).entries for s in res_plus(7)]
+        x0 = int_solve(phi, orbifold_contribution(Singularity(7, 1)).entries)
+        calls = [0]
+        reduce = Reducer.reduce
+
+        def counted(self, v):
+            calls[0] += 1
+            return reduce(self, v)
+
+        monkeypatch.setattr(Reducer, "reduce", counted)
+        g0, steps = graver_completion(int_kernel(phi), PAIR_BUDGET)
+        assert (len(g0), steps) == (142, 2979)
+        assert calls[0] <= 1111
+        calls[0] = 0
+        got, pairs = graver_fiber(g0, x0, PAIR_BUDGET)
+        assert (len(got), pairs) == (35, 2602)
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "59eb2a456ae9981f"
+        assert calls[0] == 668
+
     def test_lift_masks_only_the_vectors_it_keeps(self, monkeypatch):
         """The lift at 1/7(1,1) reduces 2,602 pairs to 35 fiber vectors;
         it forms the sign masks of each vector it returns, and of no

@@ -24,6 +24,7 @@ from delpezzo import (
     residual_quiver,
     self_duals,
 )
+from delpezzo import quiver
 from delpezzo.errors import MixedIndex
 from delpezzo.exactalg import (
     cyclotomic,
@@ -34,7 +35,7 @@ from delpezzo.exactalg import (
 )
 from delpezzo.hilbert import zero_delta
 from delpezzo.quiver import IndecMultiset, elementary_t
-from delpezzo.singularity import is_residual, residuals_of_index
+from delpezzo.singularity import basket_pieces, hyperplane_inverse, is_residual, residuals_of_index
 
 rng = random.Random(20260824)
 
@@ -388,7 +389,52 @@ class TestShatteringMultisets:
         assert compared > 100
 
 
+def cancelling_by_pieces(b):
+    """contains_cancelling_tuple as it was before it took a canonical
+    single-index basket as it is: split every input by local index into
+    canonical sorted pieces, then test each piece."""
+    for piece in basket_pieces(list(b)).values():
+        witness = quiver._cancelling_single_index(piece)
+        if witness is not None:
+            return witness
+    return None
+
+
 class TestCancellingTuples:
+    def test_same_witness_for_unsorted_and_non_canonical_input(self):
+        """Baskets of one or two local indices, each point in either of its
+        two forms, often with a point and its hyperplane inverse, shuffled,
+        canonical, or sorted in their given forms: the witness is the one
+        the split gives."""
+        local = random.Random(20261020)
+        kinds = {"found": 0, "none": 0, "skipped split": 0}
+        for _ in range(600):
+            indices = local.sample((5, 7, 8, 9, 10), local.randint(1, 2))
+            items = []
+            for ell in indices:
+                pool = residuals_of_index(ell)
+                picks = [local.choice(pool) for _ in range(local.randint(1, 4))]
+                if local.random() < 0.4:
+                    picks.append(hyperplane_inverse(picks[0]))
+                items += picks
+            local.shuffle(items)
+            items = [s.dual() if local.random() < 0.5 else s for s in items]  # either form
+            for form in (items, basket(items), sorted(items, key=lambda s: (s.r, s.a))):
+                got = contains_cancelling_tuple(form)
+                assert got == cancelling_by_pieces(form), form
+                kinds["none" if got is None else "found"] += 1
+                kinds["skipped split"] += quiver._is_one_piece(tuple(form))
+        assert min(kinds.values()) > 100, kinds
+
+    def test_enumerator_baskets_are_not_split_again(self, monkeypatch):
+        """The enumerator's baskets are canonical, sorted and of one local
+        index: the cancelling check tests them as they are."""
+        res = enumerate_reduced_baskets(5, DeltaVector(5, (8, -1, 8)))
+        monkeypatch.setattr(quiver, "basket_pieces", None)
+        for b in res.baskets:
+            assert contains_cancelling_tuple(b) is None
+        assert len(enumerate_reduced_baskets(5, DeltaVector(5, (8, -1, 8))).baskets) == 25
+
     def test_inverse_pairs_cancel(self):
         found = contains_cancelling_tuple(
             [Singularity(5, 1), Singularity(20, 11)]

@@ -314,7 +314,76 @@ class TestPerIndexLift:
             enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
 
 
+def basket_by_inverses(ell, coords):
+    """The construction the class table replaced: res_plus, then
+    hyperplane_inverse for each negative coordinate, then basket."""
+    reps = res_plus(ell)
+    out = []
+    for i, v in enumerate(coords):
+        if v > 0:
+            out.extend([reps[i]] * v)
+        elif v < 0:
+            out.extend([hyperplane_inverse(reps[i])] * (-v))
+    return basket(out)
+
+
+class TestSoundnessRechecks:
+    """The Q-sum, cancelling-freeness and RK^2 checks run on a warm call,
+    and read the baskets, not the lift."""
+
+    def test_wrong_q_sum_and_cancelling_tuple_are_caught(self, monkeypatch):
+        delta = DeltaVector(5, (2, 1, 2))
+        w = enumerate_reduced_baskets(5, delta).vectors[0]
+        k = int_kernel([orbifold_contribution(s).entries for s in res_plus(5)])[0]
+        c = 1 + max(map(abs, w))  # then k lies under w + c*k
+        for fiber, message in [
+            ([tuple([x + (i == 0) for i, x in enumerate(w)])], "has delta"),
+            ([tuple([x + c * y for x, y in zip(w, k)])], "contains a cancelling tuple"),
+        ]:
+            monkeypatch.setattr(reconstruct, "graver_fiber", lambda *_, fiber=fiber: (fiber, 0))
+            with pytest.raises(RuntimeError, match=message):
+                enumerate_reduced_baskets(5, delta)
+
+    def test_rk2_modulo_one_is_checked(self, monkeypatch):
+        rows, denom = reconstruct._class_table(5)
+        (rank, p, a), inverse = rows[1]
+        bent = (rows[0], ((rank, p, a + 1), inverse), *rows[2:])
+        monkeypatch.setattr(reconstruct, "_class_table", lambda ell: (bent, denom))
+        with pytest.raises(RuntimeError, match="differ modulo 1"):
+            enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
+
+
 class TestSignedBasketVector:
+    @pytest.mark.parametrize("ell", [5, 7, 8, 9, 10, 12, 11, 13])
+    def test_class_table_matches_construction_by_inverses(self, ell):
+        """Every signed unit vector and 60 seeded ones; the table is built
+        from Res+ alone, so at l = 11 and 13, where the Graver basis of
+        ker Phi+ is out of reach, no per-index context is made."""
+        before = _index_context.cache_info().currsize
+        n = len(res_plus(ell))
+        draw = random.Random(ell)
+        vectors = [tuple([sign * (i == j) for j in range(n)]) for i in range(n) for sign in (1, -1)]
+        vectors += [tuple([draw.randint(-3, 3) for _ in range(n)]) for _ in range(60)]
+        for v in vectors:
+            assert SignedBasketVector(ell, v).basket() == basket_by_inverses(ell, v), v
+        assert _index_context.cache_info().currsize == before
+
+    def test_coordinate_count_is_checked(self):
+        with pytest.raises(LengthMismatch):
+            SignedBasketVector(5, (1, 0, 0)).basket()
+
+    @pytest.mark.parametrize("ell", [5, 7, 8, 9, 10, 12])
+    def test_rk2_and_order_read_off_the_table(self, ell):
+        """Each per_basket_rk2 is the sum of degree_contribution over its
+        basket, and the baskets come in the order of their (r, a) keys."""
+        points = [s for rep in res_plus(ell) for s in (rep, hyperplane_inverse(rep))]
+        for s in points:
+            res = enumerate_reduced_baskets(ell, orbifold_contribution(s))
+            for b, rk2 in zip(res.baskets, res.per_basket_rk2):
+                assert rk2 == sum((degree_contribution(p) for p in b), Fraction(0)), b
+            keys = [tuple([p.iso_key() for p in b]) for b in res.baskets]
+            assert keys == sorted(keys)
+
     def test_roundtrip(self):
         for _ in range(100):
             coords = tuple(rng.randint(-3, 3) for _ in range(4))
