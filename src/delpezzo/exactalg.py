@@ -55,7 +55,7 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     """a*b; a scale, or a shift and a scale, when a factor is a monomial
-    c*t^j, as in every c*t^k term of series text."""
+    c*t^j, as the split frame's (0, delta_1) at l = 3 or t in text t*(1 - t)."""
     if any(a[:-1]):
         a, b = b, a
     if any(a[:-1]):  # neither factor is a monomial
@@ -476,7 +476,7 @@ class Reducer:
 
 
 def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, int]:
-    """(Graver basis of the lattice L spanned by basis, pairs reduced).
+    """(Graver basis of the lattice L spanned by basis, pairs formed).
 
     The Graver basis holds g and -g, each as signed(g), in a Reducer.  Its
     elements are the nonzero vectors of L minimal under the conformal order
@@ -508,7 +508,7 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
             if steps >= node_cap:
                 raise CapacityExceeded(
                     f"Graver completion hit the node cap {node_cap}: "
-                    f"{steps} pairs reduced, |G| = {len(elems)}"
+                    f"{steps} pairs formed, |G| = {len(elems)}"
                 )
             steps += 1
             v = tuple(map(add, f, g))
@@ -527,7 +527,7 @@ def graver_completion(basis: Sequence[tuple], node_cap: int) -> tuple[Reducer, i
 
 
 def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple], int]:
-    """(⊑-minimal elements of the coset x0 + L, pairs reduced), where graver
+    """(⊑-minimal elements of the coset x0 + L, pairs formed), where graver
     is the Graver basis of the lattice L as graver_completion returns it.
 
     The truncated completion of [M | -M x0] with last coordinate 0 already
@@ -558,7 +558,7 @@ def graver_fiber(graver: Reducer, x0: tuple, node_cap: int) -> tuple[list[tuple]
                 continue  # f + g is the conformal sum of f and g
             if steps >= node_cap:
                 raise CapacityExceeded(
-                    f"fiber lift hit the node cap {node_cap}: {steps} pairs reduced, "
+                    f"fiber lift hit the node cap {node_cap}: {steps} pairs formed, "
                     f"|G0| = {len(graver)}, {len(fiber)} fiber elements so far"
                 )
             steps += 1

@@ -22,7 +22,6 @@ from .hilbert import (
 from .quiver import (
     IndecMultiset,
     contains_cancelling_tuple,
-    delta_lattice,
     maximal_shattering,
     residual_quiver,
 )
@@ -30,17 +29,30 @@ from .singularity import (
     Basket, Singularity, hyperplane_inverse, is_residual, residuals_of_index, residue,
 )
 
-# reduced pairs allowed to each stage of enumerate_reduced_baskets: the
+# pairs allowed to each stage of enumerate_reduced_baskets: the
 # completion of G0 at one local index, and each lift of G0 to a fiber
 PAIR_BUDGET = 5_000_000
 
 
 @lru_cache(maxsize=None)
-def res_plus(ell: int) -> tuple[Singularity, ...]:
-    """One representative per hyperplane-inverse pair of residual classes.
+def _classes(ell: int) -> tuple[tuple, tuple, int, Echelon]:
+    """(reps, rows, D, echelon) of Res+(l), from one pass over the
+    hyperplane-inverse pairs of residual classes; no Graver basis.
 
-    Pairs are sorted by their lexicographically smallest member; the
-    representative is the member whose leading delta entry is positive.
+    reps[i] is the member of the i-th pair, in order of least member, whose
+    leading delta entry is positive.  Row i is ((rank, P, D*A(P)),
+    (rank, N, D*A(N))): P = reps[i], which a positive coordinate selects,
+    and N the other member, its inverse, which a negative one selects;
+    rank orders all 2|Res+| points by (r, a), and D is the least common
+    denominator of their degree contributions A.  echelon is the column
+    echelon form of Phi+, whose columns are the delta-vectors of reps.
+
+    ZPhi+ is the delta-lattice Delta(l), so echelon.solve decides
+    membership with d = 1.  Delta(l) ⊆ ZPhi+: every indecomposable is
+    residual, its class or its inverse class is in reps, and an inverse
+    class has the negated delta.  ZPhi+ ⊆ Delta(l): every residual is the
+    hyperplane sum of consecutive quiver vertices, and delta is additive
+    over shattering.
     """
     classes = {s.iso_key() for s in residuals_of_index(ell)}
     pairs = set()
@@ -49,46 +61,38 @@ def res_plus(ell: int) -> tuple[Singularity, ...]:
         if inv not in classes:
             raise RuntimeError(f"the hyperplane inverse {inv} of {key} is not residual")
         pairs.add(frozenset((key, inv)))
-    reps = []
+    # the pairs cover the classes, so this holds exactly when each class
+    # lies in one pair of two: the other member is then its inverse
+    if 2 * len(pairs) != len(classes):
+        raise RuntimeError(f"{len(classes)} residual classes form {len(pairs)} inverse pairs")
+    ordered = []  # each pair as (P, N)
     for pair in sorted(pairs, key=min):
         members = [Singularity(*k) for k in sorted(pair)]
-        positive = [
-            m
-            for m in members
-            if next(x for x in orbifold_contribution(m).entries if x) > 0
-        ]
-        if len(positive) != 1:
+        positive = [next(x for x in orbifold_contribution(m).entries if x) > 0 for m in members]
+        if positive[0] == positive[1]:
             raise RuntimeError(f"ambiguous representative in {pair}")
-        reps.append(positive[0])
-    return tuple(reps)
-
-
-@lru_cache(maxsize=None)
-def _class_table(ell: int) -> tuple[tuple, int]:
-    """(rows, D): one row per Res+ coordinate, and the least common
-    denominator D of the degree contributions of the points in the rows.
-
-    Row i is ((rank, P, D*A(P)), (rank, N, D*A(N))): P the canonical point
-    of class i, which a positive coordinate selects, N the canonical point
-    of its hyperplane inverse, which a negative one selects, and rank the
-    position of the point among all 2|Res+| of them in (r, a) order.  It
-    needs res_plus(l) only, not the Graver basis of ker Phi+.
-    """
-    pairs = [(s, Singularity(*hyperplane_inverse(s).iso_key())) for s in res_plus(ell)]
-    points = sorted([p for pair in pairs for p in pair], key=lambda s: (s.r, s.a))
+        ordered.append(members if positive[0] else members[::-1])
+    points = sorted([p for pair in ordered for p in pair], key=lambda s: (s.r, s.a))
     rank = {p: i for i, p in enumerate(points)}
     degree = {p: degree_contribution(p) for p in points}
     denom = lcm(*[a.denominator for a in degree.values()])
+    reps = tuple([p for p, _ in ordered])
     rows = tuple([
         tuple([(rank[p], p, degree[p].numerator * (denom // degree[p].denominator)) for p in pair])
-        for pair in pairs
+        for pair in ordered
     ])
-    return rows, denom
+    return reps, rows, denom, column_echelon([orbifold_contribution(s).entries for s in reps])
+
+
+def res_plus(ell: int) -> tuple[Singularity, ...]:
+    """One representative per hyperplane-inverse pair of residual classes,
+    as _classes(l) keeps them."""
+    return _classes(ell)[0]
 
 
 def _assemble(rows: tuple, v: Sequence[int]) -> tuple[Basket, tuple, int]:
     """(basket, ranks, D*RK^2) of the signed Res+ vector v from the rows of
-    _class_table: the canonical points in (r, a) order, their ranks in the
+    _classes(l): the canonical points in (r, a) order, their ranks in the
     same order, which sort baskets as their (r, a) keys do, and the sum of
     their degree numerators."""
     parts = sorted([(row[x < 0], abs(x)) for row, x in zip(rows, v) if x])
@@ -108,7 +112,7 @@ class SignedBasketVector:
     coords: tuple
 
     def basket(self) -> Basket:
-        rows, _ = _class_table(self.local_index)
+        rows = _classes(self.local_index)[1]
         if len(self.coords) != len(rows):
             raise LengthMismatch(
                 f"{len(self.coords)} coordinates, but Res+({self.local_index}) has {len(rows)} classes"
@@ -139,17 +143,15 @@ class ReducedBodyResult:
 
 
 @lru_cache(maxsize=None)
-def _index_context(ell: int) -> tuple[Echelon, Reducer]:
-    """(the column echelon form of Phi+, the Graver basis G0 of ker Phi+
-    as the Reducer of its normal forms).  G0 is completed from the
-    echelon's kernel basis within PAIR_BUDGET pairs; lru_cache keeps no
-    raised exception, so a completion cut short is not kept."""
-    echelon = column_echelon([orbifold_contribution(s).entries for s in res_plus(ell)])
+def _index_context(ell: int) -> Reducer:
+    """The Graver basis G0 of ker Phi+ as the Reducer of its normal forms,
+    completed within PAIR_BUDGET pairs from the kernel basis of the
+    echelon form that _classes(l) keeps; lru_cache keeps no raised
+    exception, so a completion cut short is not kept."""
     try:
-        graver, _ = graver_completion(echelon.kernel, PAIR_BUDGET)
+        return graver_completion(_classes(ell)[3].kernel, PAIR_BUDGET)[0]
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: kernel {exc}") from None
-    return echelon, graver
 
 
 def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult:
@@ -159,36 +161,32 @@ def enumerate_reduced_baskets(ell: int, delta: DeltaVector) -> ReducedBodyResult
     Their signed Res+ vectors are the ⊑-minimal elements of the fiber
     {v : Phi+ v = delta}, where u ⊑ v means same signs and entries no
     larger in absolute value (a nonzero kernel vector under v is a
-    cancelling tuple).  The Graver basis G0 of ker Phi+ does not depend on
-    delta: it is completed once per local index and kept.  A particular
-    solution x0 comes from the kept echelon form of Phi+, and
-    exactalg.graver_fiber lifts G0 to the fiber from the normal form of x0:
-    the truncated completion of [Phi+ | -delta] that forms only the pairs
-    of a fiber vector with an element of G0.  The completion and the lift
-    may each reduce PAIR_BUDGET pairs; reaching it raises CapacityExceeded
-    rather than returning a silently truncated list.
+    cancelling tuple).  One forward substitution against the kept echelon
+    form of Phi+ decides realizability, as ZPhi+ is the delta-lattice (see
+    _classes), and gives a particular solution x0.  The Graver basis G0 of
+    ker Phi+ does not depend on delta: it is completed once per local index
+    and kept.  exactalg.graver_fiber lifts G0 to the fiber from the normal
+    form of x0: the truncated completion of [Phi+ | -delta] that forms only
+    the pairs of a fiber vector with an element of G0.  The completion and
+    the lift may each form PAIR_BUDGET pairs; reaching it raises
+    CapacityExceeded rather than returning a silently truncated list.
     """
     if delta.local_index != ell:
         raise MixedIndex("delta has wrong local index")
     if not delta.is_palindromic():
         raise NotRealizable("delta-vector must be palindromic")
-    lattice = delta_lattice(ell)
-    if not lattice.contains(delta.entries):
+    _, rows, denom, echelon = _classes(ell)
+    solved = echelon.solve(delta.entries)
+    if solved is None or solved[1] != 1:
         return ReducedBodyResult(ell, delta, False, (), (), ())
     if delta.is_zero:
         # the empty basket is the only cancelling-tuple-free zero-sum basket
-        return ReducedBodyResult(
-            ell, delta, True, ((),), ((0,) * len(res_plus(ell)),), (Fraction(0),)
-        )
-    echelon, graver = _index_context(ell)
-    solved = echelon.solve(delta.entries)
-    if solved is None or solved[1] != 1:
-        raise RuntimeError(f"no integer x has Phi+ x = {delta}, a lattice vector")
+        return ReducedBodyResult(ell, delta, True, ((),), ((0,) * len(rows),), (Fraction(0),))
+    graver = _index_context(ell)
     try:
         minimal, _ = graver_fiber(graver, solved[0], PAIR_BUDGET)
     except CapacityExceeded as exc:
         raise CapacityExceeded(f"at l = {ell}: {exc}") from None
-    rows, denom = _class_table(ell)
     # the lift returns at least the normal form of x0
     baskets, _, numerators, vectors = zip(*sorted(
         [(*_assemble(rows, v), v) for v in minimal], key=itemgetter(1)

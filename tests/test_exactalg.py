@@ -550,7 +550,7 @@ class TestGraverBasis:
         assert len(got) == len(set(got)) and set(got) == expected
 
     def test_node_cap_reports_work_done(self):
-        with pytest.raises(CapacityExceeded, match="2 pairs reduced, \\|G\\| = "):
+        with pytest.raises(CapacityExceeded, match="2 pairs formed, \\|G\\| = "):
             graver_basis(columns([[1, 1, 1, 1], [0, 1, 2, 3]]), node_cap=2)
 
     def test_pinned_completion_at_seven(self):
@@ -562,7 +562,7 @@ class TestGraverBasis:
         delta = orbifold_contribution(Singularity(7, 1)).entries
         assert delta == (3, 2, -3, 2, 3)
         m = phi + [tuple(-x for x in delta)]
-        with pytest.raises(CapacityExceeded, match="6363 pairs reduced, \\|G\\| = 212$"):
+        with pytest.raises(CapacityExceeded, match="6363 pairs formed, \\|G\\| = 212$"):
             graver_basis(m, node_cap=6363)
         got = graver_basis(m, node_cap=6364)
         assert len(got) == 212
@@ -577,7 +577,7 @@ class TestGraverBasis:
         assert (len(g0), steps) == (142, 2979)
         assert [v[0] for v in g0] == graver_basis(phi)
         x0 = int_solve(phi, orbifold_contribution(Singularity(7, 1)).entries)
-        with pytest.raises(CapacityExceeded, match="2601 pairs reduced, \\|G0\\| = 142, "):
+        with pytest.raises(CapacityExceeded, match="2601 pairs formed, \\|G0\\| = 142, "):
             graver_fiber(g0, x0, node_cap=2601)
         got, pairs = graver_fiber(g0, x0, node_cap=2602)
         assert (len(got), pairs) == (35, 2602)

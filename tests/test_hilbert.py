@@ -727,16 +727,20 @@ class TestWorkPins:
             assert cold or calls[2][0] == 0
             monkeypatch.undo()
 
-    def test_index_context_eliminates_phi_once(self, monkeypatch):
-        """One elimination of Phi+ per local index: the kernel basis that G0
-        is completed from is read off the echelon form that also gives the
-        particular solutions."""
+    def test_classes_eliminate_phi_once_and_build_no_lattice(self, monkeypatch):
+        """One elimination of Phi+ per local index and no delta-lattice: the
+        echelon form that reconstruct._classes keeps decides realizability,
+        gives the particular solutions and the kernel basis that G0 is
+        completed from."""
         delta = orbifold_contribution(Singularity(7, 1))
-        delta_lattice(7)  # the lattice's own elimination is not of Phi+
+        reconstruct._classes.cache_clear()
         reconstruct._index_context.cache_clear()
+        quiver.delta_lattice.cache_clear()  # and its call counts
         calls = [self.counter(monkeypatch, module, "column_echelon") for module in (reconstruct, exactalg)]
         assert len(reconstruct.enumerate_reduced_baskets(7, delta).baskets) == 35
         assert calls[0][0] + calls[1][0] == 1
+        info = quiver.delta_lattice.cache_info()
+        assert info.hits + info.misses == 0
 
     @pytest.mark.parametrize(
         "r,a,ell", [(1_000_000, 499_999, 2), (700_000, 199_999, 7), (3_003_000, 14_999, 1001)]

@@ -28,6 +28,7 @@ from delpezzo import (
     count_bound,
     degree_bounds,
     degree_contribution,
+    delta_lattice,
     enumerate_reduced_baskets,
     features_in,
     hyperplane_inverse,
@@ -47,7 +48,7 @@ from delpezzo.errors import (
 )
 from delpezzo.exactalg import graver_completion, int_kernel
 from delpezzo.hilbert import zero_delta
-from delpezzo.reconstruct import PAIR_BUDGET, _index_context
+from delpezzo.reconstruct import PAIR_BUDGET, _classes, _index_context
 
 rng = random.Random(20260824)
 
@@ -256,10 +257,12 @@ def completion_oracle(ell, entries):
 
 def check_lift(ell, deltas, cache):
     """enumerate_reduced_baskets against completion_oracle, with the per-index
-    context cleared before every call (cold) or kept from a first call (warm)."""
+    record and G0 cleared before every call (cold) or kept from a first call
+    (warm)."""
     enumerate_reduced_baskets(ell, deltas[0])
     for delta in deltas:
         if cache == "cold":
+            _classes.cache_clear()
             _index_context.cache_clear()
         res = enumerate_reduced_baskets(ell, delta)
         check_vectors(res)
@@ -296,7 +299,7 @@ class TestPerIndexLift:
         with pytest.raises(
             CapacityExceeded,
             match=r"^at l = 5: kernel Graver completion hit the node cap 1: "
-            r"1 pairs reduced, \|G\| = 6$",
+            r"1 pairs formed, \|G\| = 6$",
         ):
             enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
         assert _index_context.cache_info().currsize == 0
@@ -308,10 +311,50 @@ class TestPerIndexLift:
         monkeypatch.setattr(reconstruct, "PAIR_BUDGET", 1)
         with pytest.raises(
             CapacityExceeded,
-            match=r"^at l = 5: fiber lift hit the node cap 1: 1 pairs reduced, "
+            match=r"^at l = 5: fiber lift hit the node cap 1: 1 pairs formed, "
             r"\|G0\| = 8, 2 fiber elements so far$",
         ):
             enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
+
+
+def in_span(echelon, v):
+    """Whether an integer x has M x = v, for the echelon form of M."""
+    solved = echelon.solve(v)
+    return solved is not None and solved[1] == 1
+
+
+class TestPhiPlusSpansTheDeltaLattice:
+    """The facts the per-index record rests on: the integer span of the
+    columns of Phi+ is the delta-lattice, so the echelon form of Phi+
+    decides realizability, and Res+(l) has (phi(l)/2)^2 classes."""
+
+    @pytest.mark.parametrize("ell", range(3, 41))
+    def test_span_and_membership_agree(self, ell):
+        """Each column of Phi+ lies in the lattice and each lattice basis row
+        in the span.  The two membership tests agree on 100 seeded
+        palindromic vectors, 100 integer combinations of the lattice
+        generators, and those combinations over their content, which lie
+        in the rational span and often outside the lattice."""
+        lattice, echelon = delta_lattice(ell), _classes(ell)[3]
+        for s in res_plus(ell):
+            assert lattice.contains(orbifold_contribution(s).entries), s
+        for row in lattice.basis:
+            assert in_span(echelon, row), row
+        draw, n = random.Random(ell), ell - 2
+        vectors = []
+        for _ in range(100):
+            half = [draw.randint(-3, 3) for _ in range((n + 1) // 2)]
+            coeffs = [draw.randint(-2, 2) for _ in lattice.generators]
+            u = [sum(c * g[i] for c, g in zip(coeffs, lattice.generators)) for i in range(n)]
+            content = gcd(*u) or 1
+            vectors += [half + half[:n // 2][::-1], u, [x // content for x in u]]
+        for v in vectors:
+            assert lattice.contains(v) == in_span(echelon, v), v
+
+    def test_res_plus_size(self):
+        for ell in range(3, 41):
+            half = sum(gcd(k, ell) == 1 for k in range(1, ell)) // 2
+            assert len(res_plus(ell)) == half * half, ell
 
 
 def basket_by_inverses(ell, coords):
@@ -345,10 +388,10 @@ class TestSoundnessRechecks:
                 enumerate_reduced_baskets(5, delta)
 
     def test_rk2_modulo_one_is_checked(self, monkeypatch):
-        rows, denom = reconstruct._class_table(5)
+        reps, rows, denom, echelon = _classes(5)
         (rank, p, a), inverse = rows[1]
         bent = (rows[0], ((rank, p, a + 1), inverse), *rows[2:])
-        monkeypatch.setattr(reconstruct, "_class_table", lambda ell: (bent, denom))
+        monkeypatch.setattr(reconstruct, "_classes", lambda ell: (reps, bent, denom, echelon))
         with pytest.raises(RuntimeError, match="differ modulo 1"):
             enumerate_reduced_baskets(5, DeltaVector(5, (2, 1, 2)))
 
@@ -356,9 +399,9 @@ class TestSoundnessRechecks:
 class TestSignedBasketVector:
     @pytest.mark.parametrize("ell", [5, 7, 8, 9, 10, 12, 11, 13])
     def test_class_table_matches_construction_by_inverses(self, ell):
-        """Every signed unit vector and 60 seeded ones; the table is built
-        from Res+ alone, so at l = 11 and 13, where the Graver basis of
-        ker Phi+ is out of reach, no per-index context is made."""
+        """Every signed unit vector and 60 seeded ones; the rows of the
+        per-index record need no Graver basis, so at l = 11 and 13, where
+        the Graver basis G0 of ker Phi+ is out of reach, none is made."""
         before = _index_context.cache_info().currsize
         n = len(res_plus(ell))
         draw = random.Random(ell)
