@@ -54,19 +54,13 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    """a*b; a scale, or a shift and a scale, when a factor is a monomial
-    c*t^j, as the split frame's (0, delta_1) at l = 3 or t in text t*(1 - t)."""
-    if any(a[:-1]):
-        a, b = b, a
-    if any(a[:-1]):  # neither factor is a monomial
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return poly(out)
-    out = [0] * (len(a) - 1) + [a[-1] * x for x in b] if a else []
-    return tuple(out) if out and out[-1] else poly(out)
+    """a*b by the schoolbook loop, skipping the zero coefficients of a."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return poly(out)
 
 
 def poly_scale(a: Poly, s) -> Poly:

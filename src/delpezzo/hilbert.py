@@ -100,9 +100,6 @@ class DeltaVector:
             tuple([x + y for x, y in zip(self.entries, other.entries)]),
         )
 
-    def __neg__(self) -> "DeltaVector":
-        return DeltaVector(self.local_index, tuple([-x for x in self.entries]))
-
     def rational_function(self) -> RationalFunction:
         """The contribution (delta_1 t + ... ) / (l (1 - t^l))."""
         ell = self.local_index
@@ -573,20 +570,19 @@ def _monomial(m: tuple) -> tuple:
 
 
 def _power(p: tuple, k: int, text: str) -> tuple:
-    """p^k, checked before it is built: c^k t^(jk) at once for a monomial
-    c t^j, else by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
-    4.7) on p = t^s (p_0 + ... + p_n t^n), p_0 != 0: q = (p/t^s)^k has
-    q_0 = p_0^k and m p_0 q_m = sum_{j=1..min(m,n)} ((k+1)j - m) p_j q_(m-j),
+    """p^k, checked before it is built, by J. C. P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7) on p = t^s (p_0 + ... + p_n t^n), p_0 != 0:
+    q = (p/t^s)^k has q_0 = p_0^k and
+    m p_0 q_m = sum_{j=1..min(m,n)} ((k+1)j - m) p_j q_(m-j),
     a division that is exact in integers.  The sum runs over the nonzero
-    p_j only, so a base with w of them takes O(w n k) steps.  No
-    coefficient exceeds N^k for N = |p|_1, and N <= 2^bit_length(N - 1)."""
+    p_j only, so a base with w of them takes O(w n k) steps, and a monomial
+    c t^s (n = 0) gives c^k t^(sk) with no step at all.  No coefficient
+    exceeds N^k for N = |p|_1, and N <= 2^bit_length(N - 1)."""
     if p == (1,):
         return p
     if not p:
         return p if k else (1,)
     _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)
-    if not any(p[:-1]):
-        return (0,) * ((len(p) - 1) * k) + (p[-1] ** k,)
     s = next(i for i, x in enumerate(p) if x)
     p = p[s:]
     terms = [(j, x) for j, x in enumerate(p) if x and j]

@@ -193,37 +193,20 @@ def delta_lattice(ell: int) -> DeltaLattice:
 def contains_cancelling_tuple(b: Iterable[Singularity]) -> Optional[Basket]:
     """A nonempty zero-Q sub-multiset of the basket, or None.
 
-    Mixed-index baskets are tested per local-index piece, following the
-    same-index conjecture.  Meet-in-the-middle over delta partial sums:
-    each half keeps one subset per distinct partial sum, so it holds at
+    Every input is split by basket_pieces into canonical pieces of one
+    local index, sorted by (r, a), so the witness does not depend on the
+    order or the form of the given points; each piece is tested on its
+    own, following the same-index conjecture.  Meet-in-the-middle over
+    delta partial sums: each half keeps one subset per distinct partial sum, so it holds at
     most prod_j (m_j + 1) sums, m_j the multiplicity of the j-th class in
     that half, and the work grows with that product rather than with
     2^(items).
     """
-    items = tuple(b)
-    for piece in (items,) if _is_one_piece(items) else basket_pieces(items).values():
+    for piece in basket_pieces(tuple(b)).values():
         witness = _cancelling_single_index(piece)
         if witness is not None:
             return witness
     return None
-
-
-def _is_one_piece(items: Basket) -> bool:
-    """Whether basket_pieces would return items as its one piece: canonical
-    points of one local index in (r, a) order.  A run of one point object
-    is checked once."""
-    prev = None
-    for s in items:
-        if s is prev:
-            continue
-        if prev is None:
-            ell = s.local_index
-        elif (s.r, s.a) < (prev.r, prev.a) or s.local_index != ell:
-            return False
-        if s.iso_key() != (s.r, s.a):
-            return False
-        prev = s
-    return True
 
 
 def _cancelling_single_index(items: Basket) -> Optional[Basket]:

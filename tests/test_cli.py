@@ -330,7 +330,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [
         "1/((1-t)^3*(1+t))",  # Phi_2 and no even candidate index
+        "1/((1-t)^2*(1-t^2))",
         "1/(1-t^2)^3",  # Phi_2 more often than the frame holds it
+        "1/(1-t)^3 + t/(1-t^5)^2",  # Phi_5 more often than the frame holds it
     ])
     def test_unexplained_cyclotomic_factor_is_named(self, text):
         p = run("analyze", text)

@@ -163,6 +163,10 @@ class TestDeltaVectors:
                 assert full[0] == 0 and full[-1] == 0
                 assert all(isinstance(x, int) for x in q.entries)
 
+    def test_sum_of_different_local_indices_raises(self):
+        with pytest.raises(ValueError, match="local indices differ"):
+            orbifold_contribution(Singularity(5, 1)) + orbifold_contribution(Singularity(7, 1))
+
     def test_dual_invariance(self):
         for ell in range(3, 13):
             for s in residuals_of_index(ell):
@@ -907,6 +911,18 @@ class TestCandidateIndices:
             largest[d] = max(largest[d], largest[d - 1])
             assert largest[d] < _scan_bound(d), d
         assert (_scan_bound(40), _scan_bound(2000)) == (400, 34_000)
+
+    @pytest.mark.parametrize("text", [
+        "1/((1-t)^2*(1-t^2))",  # Phi_2 and no even candidate index >= 4
+        "1/((1-t)^3*(1+t))",
+        "1/(1-t)^3 + t/(1-t^5)^2",  # Phi_5 twice, where one 1 - t^5 holds it once
+    ])
+    def test_cyclotomic_factor_that_no_part_gives_raises(self, text):
+        """The candidate indices accept these denominators, but the frame's
+        denominator is no multiple of them."""
+        with pytest.raises(NotASurfaceSeries) as info:
+            split_series(parse_rational_function(text))
+        assert str(info.value) == "denominator has a cyclotomic factor that no orbifold part gives"
 
     def test_lehmer_cubed_raises_quickly(self):
         """Lehmer's polynomial has unit end coefficients and no cyclotomic

@@ -4,12 +4,12 @@ delta-vector lattice, and cancelling tuples."""
 import itertools
 import random
 import re
+from collections import Counter
 from math import gcd
 
 import pytest
 
 from delpezzo import (
-    DeltaVector,
     Singularity,
     basket,
     classify,
@@ -24,7 +24,6 @@ from delpezzo import (
     residual_quiver,
     self_duals,
 )
-from delpezzo import quiver
 from delpezzo.errors import MixedIndex
 from delpezzo.exactalg import (
     cyclotomic,
@@ -35,7 +34,7 @@ from delpezzo.exactalg import (
 )
 from delpezzo.hilbert import zero_delta
 from delpezzo.quiver import IndecMultiset, elementary_t
-from delpezzo.singularity import basket_pieces, hyperplane_inverse, is_residual, residuals_of_index
+from delpezzo.singularity import hyperplane_inverse, is_residual, residuals_of_index
 
 rng = random.Random(20260824)
 
@@ -389,25 +388,27 @@ class TestShatteringMultisets:
         assert compared > 100
 
 
-def cancelling_by_pieces(b):
-    """contains_cancelling_tuple as it was before it took a canonical
-    single-index basket as it is: split every input by local index into
-    canonical sorted pieces, then test each piece."""
-    for piece in basket_pieces(list(b)).values():
-        witness = quiver._cancelling_single_index(piece)
-        if witness is not None:
-            return witness
-    return None
+def has_cancelling_subset(points):
+    """Whether some nonempty sub-multiset of points of one local index has
+    zero delta-sum, by trying each of the 2^n sub-multisets."""
+    deltas = [(s.local_index, orbifold_contribution(s).entries) for s in points]
+    for mask in range(1, 1 << len(deltas)):
+        chosen = [d for i, d in enumerate(deltas) if mask >> i & 1]
+        if len({ell for ell, _ in chosen}) == 1 and not any(map(sum, zip(*[e for _, e in chosen]))):
+            return True
+    return False
 
 
 class TestCancellingTuples:
     def test_same_witness_for_unsorted_and_non_canonical_input(self):
         """Baskets of one or two local indices, each point in either of its
         two forms, often with a point and its hyperplane inverse, shuffled,
-        canonical, or sorted in their given forms: the witness is the one
-        the split gives."""
+        canonical, or sorted in their given forms: a witness exists exactly
+        when the search over all sub-multisets finds one, it is a nonempty
+        sub-multiset of the canonical basket with zero delta-sum, and the
+        three forms give the same witness."""
         local = random.Random(20261020)
-        kinds = {"found": 0, "none": 0, "skipped split": 0}
+        kinds = {"found": 0, "none": 0}
         for _ in range(600):
             indices = local.sample((5, 7, 8, 9, 10), local.randint(1, 2))
             items = []
@@ -419,21 +420,26 @@ class TestCancellingTuples:
                 items += picks
             local.shuffle(items)
             items = [s.dual() if local.random() < 0.5 else s for s in items]  # either form
-            for form in (items, basket(items), sorted(items, key=lambda s: (s.r, s.a))):
+            assert len(items) <= 10
+            exists = has_cancelling_subset(items)
+            canonical = basket(items)
+            witnesses = set()
+            for form in (items, canonical, sorted(items, key=lambda s: (s.r, s.a))):
                 got = contains_cancelling_tuple(form)
-                assert got == cancelling_by_pieces(form), form
+                assert (got is not None) == exists, form
                 kinds["none" if got is None else "found"] += 1
-                kinds["skipped split"] += quiver._is_one_piece(tuple(form))
+                witnesses.add(got)
+            assert len(witnesses) == 1, (items, witnesses)
+            if got is not None:
+                assert got and not Counter(got) - Counter(canonical), (items, got)
+                total = sum(map(orbifold_contribution, got), zero_delta(got[0].local_index))
+                assert total.is_zero, (items, got)
         assert min(kinds.values()) > 100, kinds
 
-    def test_enumerator_baskets_are_not_split_again(self, monkeypatch):
-        """The enumerator's baskets are canonical, sorted and of one local
-        index: the cancelling check tests them as they are."""
-        res = enumerate_reduced_baskets(5, DeltaVector(5, (8, -1, 8)))
-        monkeypatch.setattr(quiver, "basket_pieces", None)
-        for b in res.baskets:
-            assert contains_cancelling_tuple(b) is None
-        assert len(enumerate_reduced_baskets(5, DeltaVector(5, (8, -1, 8))).baskets) == 25
+    def test_t_singularity_is_its_own_cancelling_tuple(self):
+        t_point = Singularity(4, 1)  # 1/4(1,1), a T-point of local index 2
+        assert contains_cancelling_tuple([t_point]) == (t_point,)
+        assert contains_cancelling_tuple([Singularity(5, 1), t_point]) == (t_point,)
 
     def test_inverse_pairs_cancel(self):
         found = contains_cancelling_tuple(

@@ -231,7 +231,7 @@ class TestResidue:
 class TestDual:
     @pytest.mark.parametrize(
         "r,a,rd,ad",
-        [(5, 2, 5, 3), (5, 1, 5, 1), (10, 1, 10, 1), (20, 3, 20, 7)],
+        [(5, 2, 5, 3), (5, 1, 5, 1), (10, 1, 10, 1), (20, 3, 20, 7), (1, 0, 1, 0)],
     )
     def test_pinned(self, r, a, rd, ad):
         assert Singularity(r, a).dual() == Singularity(rd, ad)
@@ -279,6 +279,12 @@ class TestHyperplaneSum:
 
     def test_undefined_on_index_mismatch(self):
         assert hyperplane_sum(Singularity(5, 1), Singularity(3, 1)) is None
+
+    def test_undefined_with_a_smooth_summand(self):
+        smooth = Singularity(1, 0)
+        assert hyperplane_sum(smooth, Singularity(5, 1)) is None
+        assert hyperplane_sum(Singularity(5, 1), smooth) is None
+        assert hyperplane_sum(smooth, smooth) is None
 
     def test_dual_reverses_gluing(self):
         for _ in range(200):
