@@ -35,8 +35,7 @@ from .singularity import SINGULARITY_TEXT, Singularity, basket, residue
 
 
 def fmt_frac(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def fmt_poly(coeffs) -> str:

@@ -64,10 +64,8 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 
 
 def poly_scale(a: Poly, s) -> Poly:
-    """s*a; a itself when s is 1, as for most steps of the primitive PRS."""
-    if s == 0 or s == 1:
-        return a if s else ()
-    return tuple([x * s for x in a])
+    """s*a."""
+    return tuple([x * s for x in a]) if s else ()
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -163,11 +161,8 @@ def poly_content(a: Poly) -> int:
 
 def poly_to_int(a: Poly) -> tuple[Poly, int]:
     """Clear denominators: return (integer polynomial, lcm of denominators)."""
-    denom = 1
-    for x in a:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    return tuple([int(x * denom) for x in a]), denom
+    denom = lcm(*[x.denominator for x in a])
+    return tuple([x.numerator * (denom // x.denominator) for x in a]), denom
 
 
 @lru_cache(maxsize=None)
@@ -207,8 +202,6 @@ class RationalFunction:
         n, d = poly(num), poly(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        if not n:
-            return RationalFunction((), (1,))
         n, dn = poly_to_int(n)
         d, dd = poly_to_int(d)
         n, d = poly_scale(n, dd), poly_scale(d, dn)
@@ -578,24 +571,18 @@ def int_solve(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, exactly."""
-    if not rows:
-        return 0
+    """Rank of an integer matrix, exactly, by forward elimination over Q."""
     work = [[Fraction(x) for x in row] for row in rows]
     rank = 0
-    cols = len(work[0])
-    for c in range(cols):
+    for c in range(max(map(len, work), default=0)):
         piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        p = work[rank]
+        for i in range(rank + 1, len(work)):
+            if work[i][c]:
+                f = work[i][c] / p[c]
+                work[i] = [x - f * y for x, y in zip(work[i], p)]
         rank += 1
-        if rank == len(work):
-            break
     return rank

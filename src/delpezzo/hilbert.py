@@ -155,8 +155,6 @@ def orbifold_contribution(s: Singularity) -> DeltaVector:
     if s.is_smooth:
         return zero_delta(ell)
     r, a = s.r, s.a
-    if ell * (a + 1) % r:
-        raise RuntimeError(f"numerator of {s} is not {ell}-periodic: inexact division")
     g, sums = r // ell, _prefix_sums(r, -pow(a, -1, r) % r, ell)
     full = []
     for k in range(1, ell + 1):
@@ -578,8 +576,6 @@ def _power(p: tuple, k: int, text: str) -> tuple:
     p_j only, so a base with w of them takes O(w n k) steps, and a monomial
     c t^s (n = 0) gives c^k t^(sk) with no step at all.  No coefficient
     exceeds N^k for N = |p|_1, and N <= 2^bit_length(N - 1)."""
-    if p == (1,):
-        return p
     if not p:
         return p if k else (1,)
     _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)

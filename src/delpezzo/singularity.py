@@ -173,17 +173,14 @@ def normalize_cone(cone: IntCone) -> Singularity:
     u, v = cone.u, cone.v
     r = cone_determinant(u, v)
     # M in SL2(Z) with M u = e2: rows (u2, -u1) and (x, y), x*u1 + y*u2 = 1;
-    # another such (x, y) moves w2 by a multiple of r and leaves a alone
+    # another such (x, y) moves w2 by a multiple of r and leaves a alone;
+    # M v = (r, w2) is primitive as the ray v is, so hcf(r, a) = 1
     x = pow(u[0], -1, u[1]) if u[1] else u[0]
     y = (1 - x * u[0]) // u[1] if u[1] else 0
     w2 = x * v[0] + y * v[1]
     a = (-w2) % r
     if r == 1:
         return SMOOTH
-    if gcd(r, a) != 1:
-        raise DegenerateCone(
-            f"cone normalizes to non-isolated 1/{r}(1,{a})"
-        )
     return Singularity(r, a)
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from delpezzo import (
     DeltaVector,
     Singularity,
+    analyze_series,
     basket,
     count_bound,
     degree_bounds,
@@ -29,6 +30,7 @@ from delpezzo import (
     delta_lattice,
     enumerate_reduced_baskets,
     orbifold_contribution,
+    parse_rational_function,
 )
 from delpezzo.cli import build_parser, main
 
@@ -199,6 +201,61 @@ class TestAnalyze:
         lines = p.stdout.splitlines()
         assert lines[0] == "K2=9"
         assert any("IK2=3 FEASIBLE" in ln for ln in lines)
+
+
+class TestAnalyzeJson:
+    """analyze --json in process against the text report of the same series
+    and the library: one entry per choice, in the order of the choices."""
+
+    ONE_INDEX = ("(1 + 4*t + 6*t^2 + 5*t^3 + 6*t^4 + 4*t^5 + t^6)"
+                 "/(1 - 2*t + t^2 - t^5 + 2*t^6 - t^7)")  # {1/5(1,2)} at K^2 = 27/5
+    TWO_INDEX = ("(1 + 2*t + 6*t^2 + 7*t^3 + 9*t^4 + 7*t^5 + 6*t^6 + 2*t^7 + t^8)"
+                 "/(1 - t - t^3 + t^4 - t^5 + t^6 + t^8 - t^9)")  # {1/3(1,1), 1/5(1,2)} at K^2 = 41/15
+    NO_SURFACE = "(1+11*t+t^2)/(1-t)^3"
+
+    @staticmethod
+    def analyze(capsys, *args):
+        assert main(["analyze", *args]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    @pytest.mark.parametrize(
+        "text, index, verdict",
+        [(ONE_INDEX, 5, "FEASIBLE"), (TWO_INDEX, 0, "FEASIBLE"), (NO_SURFACE, 0, "NO_SURFACE")],
+        ids=["one index", "two indices", "no surface"],
+    )
+    def test_json_follows_the_text_report(self, capsys, text, index, verdict):
+        doc = json.loads(self.analyze(capsys, "--json", text))
+        lines = self.analyze(capsys, text).splitlines()
+        choices = []
+        for i, line in enumerate([ln for ln in lines if ln.startswith("choice ")], start=1):
+            flat, rk2, _, tag = line.removeprefix(f"choice {i}: ").rsplit(" ", 3)
+            choices.append(([] if flat == "{}" else flat.split(", "), rk2.removeprefix("RK2="), tag))
+        assert choices and f"verdict={verdict}" in lines
+        assert doc["baskets"] == [b for b, _, _ in choices]
+        assert doc["rkSquared"] == [r for _, r, _ in choices]
+        feasible = [b for b, _, tag in choices if tag == "FEASIBLE"]
+        assert doc["verdict"] == verdict == ("FEASIBLE" if feasible else "NO_SURFACE")
+        assert doc["localIndex"] == index
+        report = analyze_series(parse_rational_function(text))
+        assert doc["delta"] == (list(report.bodies[index].delta.entries) if index else [])
+        if feasible:
+            bounds = [degree_bounds(basket(Singularity.parse(s) for s in b)) for b in feasible]
+            assert doc["bounds"] == {"m": str(min(m for m, _ in bounds)), "M": str(max(M for _, M in bounds))}
+        else:
+            assert doc["bounds"] is None
+
+    def test_one_index_bytes(self, capsys):
+        assert self.analyze(capsys, "--json", self.ONE_INDEX) == (
+            '{\n  "baskets": [\n    [\n      "1/5(1,2)"\n    ],\n    [\n      "1/10(1,3)",\n'
+            '      "1/20(1,11)"\n    ],\n    [\n      "1/15(1,2)",\n      "1/15(1,11)"\n    ],\n'
+            '    [\n      "1/15(1,11)",\n      "1/20(1,3)",\n      "1/20(1,11)"\n    ]\n  ],\n'
+            '  "bounds": {\n    "M": "47/5",\n    "m": "2/5"\n  },\n'
+            '  "delta": [\n    -2,\n    -1,\n    -2\n  ],\n  "localIndex": 5,\n'
+            '  "rkSquared": [\n    "13/5",\n    "18/5",\n    "18/5",\n    "23/5"\n  ],\n'
+            '  "verdict": "FEASIBLE"\n}\n'
+        )
 
 
 class TestBoundsAndCounts:

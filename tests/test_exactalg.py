@@ -214,6 +214,24 @@ class TestPolyRing:
         prim, scale = poly_to_int(p)
         assert all(isinstance(c, int) or c.denominator == 1 for c in prim)
         assert poly_content(poly([6, 9, 12])) == 3
+        # ints and Fractions mixed, and ints alone, clear to ints
+        assert poly_to_int((1, Fraction(2, 3), Fraction(-1, 4), 0)) == ((12, 8, -3, 0), 12)
+        assert poly_to_int((3, -2)) == ((3, -2), 1) and poly_to_int(()) == ((), 1)
+        assert all(type(c) is int for c in poly_to_int((1, Fraction(2, 3)))[0])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: poly_divmod((1, 2), ()), "polynomial division by zero"),
+            (lambda: RationalFunction.make((1,), ()), "zero denominator"),
+            (lambda: RationalFunction.make((1,), (1, -1)).eval(1), "pole at evaluation point"),
+            (lambda: RationalFunction.make((1,), (0, 1)).series_coefficients(3), "denominator vanishes at 0"),
+        ],
+        ids=["divmod", "make", "eval at a pole", "series of 1/t"],
+    )
+    def test_division_by_zero_raises(self, call, message):
+        with pytest.raises(ZeroDivisionError, match=message):
+            call()
 
 
 class TestCyclotomic:
@@ -399,6 +417,26 @@ class TestIntLinearAlgebra:
         assert len(seen) == 6, seen
 
     def test_rank_matches_fraction_gauss(self):
+        """On 150 random matrices, on edge shapes (no rows, all-zero rows,
+        more rows than columns, one column) and on 100 tall products B*C of
+        rank at most 2, whose rows below a pivot all need clearing."""
+        edges = [
+            [],
+            [[0, 0, 0]],
+            [[0, 0], [0, 0], [0, 0]],
+            [[1, 1], [1, 1], [1, 1]],
+            [[1, 2], [2, 4], [3, 6], [0, 1], [5, 1]],
+            [[2], [0], [-3]],
+            [[0], [0]],
+        ]
+        local = random.Random(3131)
+        for _ in range(100):
+            ncols = local.randint(1, 4)
+            b = [[local.randint(-4, 4) for _ in range(2)] for _ in range(local.randint(3, 6))]
+            c = [[local.randint(-4, 4) for _ in range(ncols)] for _ in range(2)]
+            edges.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b])
+        for rows in edges:
+            assert int_rank(rows) == fraction_rank(rows), rows
         for _ in range(150):
             rows = rand_matrix(rng.randint(1, 4), rng.randint(1, 4))
             assert int_rank(rows) == fraction_rank(rows)
@@ -416,6 +454,10 @@ class TestIntLinearAlgebra:
     def test_solve_detects_unsolvable(self):
         # 2x = 1 has no integer solution
         assert int_solve([[2]], (1,)) is None
+
+    def test_solve_refuses_a_b_of_another_length(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            int_solve([(1, 2)], (1,))
 
     def test_kernel_annihilates_and_has_right_rank(self):
         for _ in range(150):
@@ -638,6 +680,11 @@ class TestRationalFunction:
         rf = RationalFunction.make(poly([1, 1]), poly_mul(poly([1, -1]), poly([1, -1])))
         assert rf.pole_order_at_one() == 2
         assert rf.eval(Fraction(1, 2)) == Fraction(3, 2) / Fraction(1, 4)
+
+    @pytest.mark.parametrize("den", [(1,), (-3,), (Fraction(1, 2),), (2, -1), (0, 1), (-1, 0, Fraction(5, 7))])
+    def test_zero_numerator_is_canonical(self, den):
+        assert RationalFunction.make((), den) == RationalFunction((), (1,))
+        assert RationalFunction.make((0, 0), den) == RationalFunction((), (1,))
 
     def test_normalization_cancels_common_factor(self):
         a = RationalFunction.make(poly_mul(poly([1, 1]), poly([2, 3])), poly_mul(poly([1, -1]), poly([2, 3])))

@@ -38,6 +38,8 @@ from delpezzo.cli import fmt_rational_function
 from delpezzo.errors import (
     AmbiguousDecomposition,
     DelPezzoError,
+    InvalidFraction,
+    InvalidWeight,
     NonIntegralDelta,
     NotASurfaceSeries,
     ParseError,
@@ -137,6 +139,10 @@ class TestDedekindSum:
     def test_rejects_non_coprime(self):
         with pytest.raises(Exception):
             dedekind_sum(6, 2, 0)
+
+    def test_rejects_order_below_two(self):
+        with pytest.raises(InvalidWeight, match="order must be at least 2"):
+            dedekind_sum(1, 0, 0)
 
 
 class TestDeltaVectors:
@@ -344,10 +350,19 @@ class TestDegreeContribution:
         assert degree_contribution(Singularity(20, 3)) == Fraction(-8, 5)
         assert degree_contribution(Singularity(10, 1)) == Fraction(-22, 5)
 
+    def test_smooth_point_contributes_nothing(self):
+        smooth = Singularity(1, 0)
+        assert orbifold_contribution(smooth) == zero_delta(1) == DeltaVector(1, ())
+        assert degree_contribution(smooth) == 0
+
     def test_hj_expansion_pinned(self):
         exp = hj_expansion(5, 2)
         assert exp.terms == (3, 2)
         assert exp.target == Fraction(5, 2)
+
+    def test_hj_expansion_rejects_p_below_q(self):
+        with pytest.raises(InvalidFraction, match="need p >= q >= 1, got 2/3"):
+            hj_expansion(2, 3)
 
     def test_hj_reconstructs_target(self):
         for _ in range(100):
@@ -769,7 +784,7 @@ class TestWorkPins:
         [("t^500", 0), ("(3*t^2)^500", 2), ("(1+t)^500", 2 * 9), ("(1-t)^500/(1+t)^3", 2 * 9 + 2 * 2 + 1)],
     )
     def test_powers_take_logarithmically_many_products(self, monkeypatch, text, most):
-        """A monomial base c*t^j is raised at once; any other by Miller's
+        """Every base, a monomial c*t^j included, is raised by Miller's
         recurrence, which forms no product, so the count stays within two
         products per bit of the exponent.  `most` also counts the products
         that build the base and join the quotient."""

@@ -349,6 +349,14 @@ class TestShatteringMultisets:
         with pytest.raises(MixedIndex):
             maximal_shattering([Singularity(5, 1), Singularity(3, 1)])
 
+    def test_empty_basket_rejected(self):
+        with pytest.raises(MixedIndex, match="empty basket has no local index"):
+            maximal_shattering([])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            IndecMultiset(5, (-1, 0, 0, 0))
+
     def test_regroupings_contain_original(self):
         for _ in range(40):
             ell = rng.randint(3, 6)

@@ -517,6 +517,10 @@ class TestCountBound:
         with pytest.raises(NotRealizable):
             count_bound({5: DeltaVector(5, (1, 1, 1))}, 5)
 
+    def test_nonpositive_ell_star_rejected(self):
+        with pytest.raises(ValueError, match="l\\* must be positive, got 0"):
+            count_bound({}, 0)
+
     def test_multi_index_matches_product_search(self):
         local = random.Random(4747)
         for case in range(24):

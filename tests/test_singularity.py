@@ -27,7 +27,7 @@ from delpezzo import (
     shatterings,
 )
 from delpezzo.errors import DegenerateCone, NotResidual, ParseError
-from delpezzo.singularity import _shards
+from delpezzo.singularity import _shards, cone_determinant
 
 rng = random.Random(20260824)
 
@@ -60,6 +60,31 @@ class TestNormalForm:
     def test_degenerate_cone_rejected(self):
         with pytest.raises(DegenerateCone):
             normalize_cone(IntCone((1, 0), (2, 0)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cone_determinant((1, 0), (-1, 0)), "dependent"),
+            (lambda: IntCone((2, -1), (0, 1)), "not in clockwise order"),
+        ],
+        ids=["dependent rays", "anticlockwise"],
+    )
+    def test_dependent_or_anticlockwise_rays_rejected(self, call, message):
+        with pytest.raises(DegenerateCone, match=message):
+            call()
+
+    def test_every_small_cone_normalizes_to_an_isolated_point(self):
+        """Each cone on primitive rays u in [-4, 4]^2 and v in [-6, 6]^2 in
+        clockwise order gives 1/r(1, a) with r = det(u, v) and hcf(r, a) = 1."""
+        us, vs = ([w for w in itertools.product(range(-n, n + 1), repeat=2) if gcd(*w) == 1] for n in (4, 6))
+        cones = 0
+        for u in us:
+            for v in vs:
+                if u[1] * v[0] - u[0] * v[1] > 0:
+                    s = normalize_cone(IntCone(u, v))
+                    assert s.r == cone_determinant(u, v) and gcd(s.r, s.a) == 1, (u, v)
+                    cones += 1
+        assert cones > 2000
 
     @pytest.mark.parametrize("u", [(1, 0), (-1, 0), (0, -1), (3, 1), (-4, 1), (2, -1), (5, -3), (-7, -2)])
     def test_first_ray_with_u1_zero_one_or_negative(self, u):
