@@ -266,7 +266,9 @@ class _Frame:
     D = (1-t)^3 times Phi_n over the n >= 2 that divide a candidate, so
     (1-t)^3 and every 1 - t^l divide D; L is the lcm of the candidates.
     Times L*D, 1/(1-t) is `geometric`, K^2 t/(1-t)^3 is K^2 times `degree`
-    and N_l/(l(1-t^l)) is N_l times `parts[l]`, all in Z[t].
+    and N_l/(l(1-t^l)) is N_l times `parts[l]`, all in Z[t].  Each N_l is
+    written in the window at l, the delta-vectors of the first phi(l)/2
+    vertices of residual_quiver(l), which span Delta(l) (proof in `system`).
     """
 
     def __init__(self, candidates: tuple):
@@ -284,10 +286,23 @@ class _Frame:
     def system(self) -> tuple[tuple, list]:
         """(column_echelon(M), bases) for the integer matrix M, a row per
         power of t, of columns `degree` and t*b*parts[l] for each (l, b),
-        b in the delta-lattice basis."""
-        from .quiver import delta_lattice  # deferred: quiver builds on this module
+        b in the window at l.
 
-        bases = [(ell, b) for ell in self.parts for b in delta_lattice(ell).basis]
+        The window spans Delta(l) over Z.  Write the quiver's vertices as
+        v_0..v_(n-1), n = phi(l), and g_i = delta(v_i).  residual_quiver
+        checks that v_-i = v_i.dual(), and delta(s.dual()) = delta(s) since
+        1/r(1,a) and 1/r(1,a^-1) are one point, so g_-i = g_i.  The cycle is
+        the maximal shattering of an elementary T-singularity, and delta is
+        additive over shattering and zero on T-singularities, so sum g_i = 0:
+        g_(n/2) = -g_0 - 2(g_1 + ... + g_(n/2-1)).  So g_0..g_(n/2-1) span
+        Delta(l), and rank Delta(l) <= phi(l)/2.  The window is independent
+        exactly when the rank is phi(l)/2, which the tests check for
+        l <= 150; were it not, the echelon form would have a kernel and the
+        split would raise AmbiguousDecomposition, never a wrong answer."""
+        from .quiver import residual_quiver  # deferred: quiver builds on this module
+
+        windows = {ell: residual_quiver(ell).vertices for ell in self.parts}
+        bases = [(ell, orbifold_contribution(v).entries) for ell, vs in windows.items() for v in vs[:len(vs) // 2]]
         cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
         return column_echelon(cols), bases
 
@@ -306,6 +321,9 @@ def assemble_series(b: Basket, k_squared) -> HilbertSeries:
     With K^2 = p/q, the numerator over q*L*D in the frame of the parts'
     indices is q*geometric + p*degree + q*sum N_l*parts[l]; it is reduced
     once, by the Phi_n of D that divide it and then the content and sign.
+    As Phi_n divides t^n - 1, it divides num exactly when it divides num's
+    fold mod t^n - 1, of degree below n, so num is long-divided only by a
+    Phi_n that divides it.
     """
     k = Fraction(k_squared)
     parts = basket_contributions(b)
@@ -316,9 +334,9 @@ def assemble_series(b: Basket, k_squared) -> HilbertSeries:
         num = poly_add(num, poly_scale(poly_mul(frame.parts[ell], (0, *v.entries)), q))
     den = poly_scale(frame.den, q * frame.lcm)
     for n in (1, 1, 1, *frame.orders):
-        quotient, rest = poly_divmod(num, cyclotomic(n))
-        if not rest:
-            num, den = quotient, poly_div_exact(den, cyclotomic(n))
+        phi = cyclotomic(n)
+        if not poly_divmod(tuple([sum(num[j::n]) for j in range(n)]), phi)[1]:
+            num, den = poly_div_exact(num, phi), poly_div_exact(den, phi)
     # den is q*L times a product of cyclotomic polynomials, of content 1
     g = gcd(poly_content(num), q * frame.lcm) * (1 if den[0] > 0 else -1)
     series = RationalFunction(tuple([x // g for x in num]), tuple([x // g for x in den]))
@@ -331,7 +349,8 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     Inverse of assemble_series.  The candidate indices are read off the
     cyclotomic factors of H's denominator c*den'.  Over L*D in their frame,
     H - 1/(1-t) = K^2 t/(1-t)^3 + sum_l N_l/(l(1-t^l)), with N_l in the
-    delta-lattice at l, is one integer system with K^2 as one more unknown:
+    delta-lattice at l written in the frame's window, is one integer system
+    with K^2 as one more unknown:
     L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
     The frame keeps the column echelon form of its matrix, so a split is
     one Echelon.solve: a forward substitution for y and then x = U y, a sum

@@ -746,6 +746,23 @@ class TestWorkPins:
             assert cold or calls[2][0] == 0
             monkeypatch.undo()
 
+    @pytest.mark.parametrize(
+        "points", [((97, 94),), ((6, 1), (24, 19), (5, 2), (7, 1))], ids=["1/97(1,94)", "four points"]
+    )
+    def test_cold_split_ranks_nothing_and_builds_no_lattice(self, monkeypatch, points):
+        """The frame's columns come from the quiver's window, not from the
+        delta-lattice: from cold caches a split eliminates once, calls no
+        int_rank and builds no delta-lattice."""
+        hs = assemble_series(basket([Singularity(r, a) for r, a in points]), Fraction(7, 3))
+        for cache in (_frame, quiver.delta_lattice, quiver.residual_quiver, orbifold_contribution):
+            cache.cache_clear()
+        echelons = [self.counter(monkeypatch, module, "column_echelon") for module in (hilbert, exactalg, quiver)]
+        ranks = [self.counter(monkeypatch, module, "int_rank") for module in (exactalg, quiver)]
+        assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
+        assert sum([calls[0] for calls in echelons]) == 1
+        assert sum([calls[0] for calls in ranks]) == 0
+        assert quiver.delta_lattice.cache_info().misses == 0
+
     def test_classes_eliminate_phi_once_and_build_no_lattice(self, monkeypatch):
         """One elimination of Phi+ per local index and no delta-lattice: the
         echelon form that reconstruct._classes keeps decides realizability,

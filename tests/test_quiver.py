@@ -26,6 +26,7 @@ from delpezzo import (
 )
 from delpezzo.errors import MixedIndex
 from delpezzo.exactalg import (
+    column_echelon,
     cyclotomic,
     int_rank,
     int_solve,
@@ -318,6 +319,38 @@ class TestDeltaLattice:
                 rem = poly_divmod(poly([0, *b]), phi)[1]
                 rows.append(list(rem) + [0] * (len(phi) - 1 - len(rem)))
             assert int_rank(rows) == L.rank, ell
+
+
+def window(ell):
+    """The delta-vectors of all vertices of residual_quiver(l), and of the
+    first phi(l)/2 of them, the columns that split_series takes at l."""
+    gens = [orbifold_contribution(v).entries for v in residual_quiver(ell).vertices]
+    return gens, gens[: len(gens) // 2]
+
+
+class TestQuiverWindow:
+    """The facts behind the split's columns: the window spans Delta(l) (the
+    proof in hilbert._Frame.system uses the first two checks), and it is
+    independent, so rank Delta(l) = phi(l)/2 on the range checked."""
+
+    def test_window_is_a_basis_up_to_150(self):
+        for ell in range(3, 151):
+            gens, win = window(ell)
+            n = len(gens)
+            assert n == totient(ell) and n % 2 == 0, ell
+            assert all(gens[(-i) % n] == g for i, g in enumerate(gens)), ell
+            assert not any(map(sum, zip(*gens))), ell
+            assert len(column_echelon(win).pivots) == n // 2, ell
+
+    def test_window_keeps_its_rank_mod_phi_up_to_150(self):
+        """Reduced mod Phi_l, the window keeps phi(l)/2 pivots: no nonzero
+        element of Delta(l) vanishes at the primitive l-th roots of unity,
+        the fact that gives the split's system no nullspace."""
+        for ell in range(3, 151):
+            _, win = window(ell)
+            phi = cyclotomic(ell)
+            rows = [poly_divmod(poly([0, *g]), phi)[1] for g in win]
+            assert len(column_echelon(rows).pivots) == len(win), ell
 
 
 class TestShatteringMultisets:
