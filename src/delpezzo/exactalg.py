@@ -131,11 +131,27 @@ def poly_gcd_primitive(a: Poly, b: Poly) -> Poly:
     """Primitive gcd in Z[t] of integer polynomials, leading coefficient
     positive; () when both are zero.
 
-    Primitive polynomial remainder sequence (Brown, On Euclid's algorithm
-    and the computation of polynomial greatest common divisors, JACM 1971):
-    pseudo-remainders with the content divided out at each step.
+    First an evaluation certificate of coprimality (after the heuristic gcd
+    of Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): with a, b
+    nonzero, xi = 2^k >= 2 + 2 min(|a|_inf, |b|_inf) and
+    g = gcd(a(xi), b(xi)), 2g < xi proves gcd(a, b) = 1.  Proof: by
+    Cauchy's bound every root of a or of b has modulus at most
+    R = 1 + min(|a|_inf, |b|_inf), so xi >= 2R is no common root and g > 0.
+    A nonconstant common factor h in Z[t] would have h(xi) | g and
+    |h(xi)| = |lc h| prod |xi - alpha| >= (xi - R)^deg h >= xi/2 > g.  The
+    floor xi >= 2^32 only makes it unlikely that a small chance common
+    factor of the two values declines a coprime pair.
+
+    When the certificate declines, the primitive polynomial remainder
+    sequence decides (Brown, On Euclid's algorithm and the computation of
+    polynomial greatest common divisors, JACM 1971): pseudo-remainders with
+    the content divided out at each step.
     """
     a, b = poly_primitive(poly(a)), poly_primitive(poly(b))
+    if a and b:
+        xi = 1 << max(32, (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length())
+        if 2 * gcd(poly_eval(a, xi), poly_eval(b, xi)) < xi:
+            return (1,)
     if len(a) < len(b):
         a, b = b, a
     while b:

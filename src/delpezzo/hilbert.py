@@ -461,7 +461,7 @@ def _scan_bound(d: int) -> int:
 _NESTING_LIMIT = 100
 _EXPONENT_LIMIT = 10_000
 _SIZE_LIMIT = 1 << 24  # bits of a product or power, see _size_check
-_TOKEN = re.compile(r"([0-9]{1,4000})|([-t+*/^()])|(\S)")
+_TOKEN = re.compile(r"[0-9]{1,4000}|\S")
 
 
 def parse_rational_function(text: str) -> RationalFunction:
@@ -610,11 +610,12 @@ def _power(p: tuple, k: int, text: str) -> tuple:
 
 def _tokenize(text: str) -> list:
     """Literals, `t`, operators and parentheses; any other non-space raises."""
-    out = []
-    for digits, op, other in _TOKEN.findall(text):
-        if other:
-            raise ParseError(f"unexpected character {other!r} in {text!r}")
-        out.append(int(digits) if digits else op)
+    out = _TOKEN.findall(text)
+    for i, tok in enumerate(out):
+        if tok[0] in "0123456789":  # not str.isdigit, which takes '\u0663' and '\u00b2'
+            out[i] = int(tok)
+        elif tok not in "-t+*/^()":
+            raise ParseError(f"unexpected character {tok!r} in {text!r}")
     if not out:
         raise ParseError("empty input")
     return out

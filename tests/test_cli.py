@@ -346,6 +346,8 @@ class TestExitCodes:
             ("analyze", "1/t"),
             ("analyze", "(1+t)/(t-t^2)"),
             ("analyze", "(1+t\u00b2)/(1-t)^3"),
+            ("analyze", "(1+t)/(1-t)^\u0663"),  # Arabic-Indic 3
+            ("analyze", "\uff11+t"),  # fullwidth 1
             ("analyze", "(" * 400 + "t" + ")" * 400),
             ("analyze", "((t^10000)^10000)^10000"),
             ("analyze", "((2^10000)^10000)^10000"),

@@ -866,8 +866,10 @@ def _rand_pair(local):
 
 
 class TestIntegerGcd:
-    """poly_gcd and RationalFunction.make run a primitive remainder sequence
-    over Z[t]; the Euclidean algorithm over Q is their oracle."""
+    """poly_gcd_primitive, under poly_gcd and RationalFunction.make, proves a
+    coprime pair coprime by one evaluation and otherwise runs a primitive
+    remainder sequence over Z[t]; the Euclidean algorithm over Q is the
+    oracle of both routes."""
 
     def test_make_matches_euclid_oracle(self):
         local = random.Random(5151)
@@ -898,6 +900,22 @@ class TestIntegerGcd:
         for case, num, den in pairs:
             rf = RationalFunction.make(num, den)
             assert (rf.num, rf.den) == _make_by_euclid(num, den), case
+
+    def test_common_root_beside_the_evaluation_point(self):
+        """(t - m) f over (t - m) g, f and g coprime, with m next to a power
+        of two: an evaluation point that ignored the coefficients' size could
+        land on or beside the common root m and certify the pair coprime."""
+        local = random.Random(9696)
+        for k in range(30, 71):
+            for m in (2**k - 1, 2**k, 2**k + 1):
+                while True:
+                    f, g = (poly([local.randint(-5, 5) for _ in range(local.randint(1, 4))]) for _ in range(2))
+                    if f and g and len(_euclid_gcd(f, g)) == 1:
+                        break
+                num, den = poly_mul((-m, 1), f), poly_mul((-m, 1), g)
+                assert poly_gcd_primitive(num, den) == (-m, 1), (m, f, g)
+                rf = RationalFunction.make(num, den)
+                assert (rf.num, rf.den) == _make_by_euclid(num, den), (m, f, g)
 
     def test_gcd_matches_euclid_oracle(self):
         local = random.Random(6262)

@@ -732,6 +732,22 @@ class TestWorkPins:
             assert gcds[0] == 0
             monkeypatch.undo()
 
+    def test_reduced_text_runs_no_remainder_sequence(self, monkeypatch):
+        """A rendered series is in lowest terms, and one evaluation proves
+        it: parsing it divides no polynomial.  Times 1 - t it shares a
+        factor, so the remainder sequence runs and gives the canonical form."""
+        b = basket([Singularity(6, 1), Singularity(24, 19), Singularity(5, 2), Singularity(7, 1)])
+        hs = assemble_series(b, Fraction(7, 3))
+        text = fmt_rational_function(hs.series)
+        divisions = self.counter(monkeypatch, exactalg, "poly_divmod")
+        assert parse_rational_function(text) == hs.series
+        assert divisions[0] == 0
+        got = parse_rational_function("(1 - t)*" + text)
+        assert divisions[0] >= 1
+        monkeypatch.undo()
+        expected = _parse_by_reduction("(1 - t)*" + text)
+        assert (got.num, got.den) == (expected.num, expected.den)
+
     def test_warm_split_runs_no_elimination(self, monkeypatch):
         """The frame keeps the column echelon form of its matrix: the first
         split over a frame eliminates once, every later one substitutes."""
