@@ -333,6 +333,8 @@ def cmd_count_bound(args) -> int:
             ell = ascii_int(ell_text, signed=False)
         except ValueError as exc:
             raise ParseError(f"bad local index in {item!r}") from exc
+        if ell < 1:
+            raise ParseError(f"local index must be at least 1 in {item!r}")
         if ell in q:
             raise ParseError(f"local index {ell} given twice, again in {item!r}")
         q[ell] = DeltaVector(ell, parse_delta_entries(entries_text))

@@ -315,37 +315,44 @@ class Echelon(NamedTuple):
         Forward substitution gives y over Q with A y = b, zero off the pivot
         columns: each pivot row fixes its y, as a pivot column is zero above
         its pivot, and each other row, zero right of the pivots before it,
-        must have no residue left.  d >= 1 is the least integer that makes
-        d*y integral and x = U (d*y); U is unimodular, so an integer x with
-        M x = b exists exactly when d = 1.
+        must have no residue left.  It runs in integers on den*y and
+        den*(b - A y): each pivot, positive by column_echelon, multiplies
+        den by its part m that does not divide its row.  So d = den is the
+        least integer that makes d*y integral: the new y = k/(den*m) has k
+        prime to m, so h = gcd(k, den) is prime to m, and the lcm of den
+        and den*m/h is den*m.  x = U (d*y); U is unimodular, so an integer
+        x with M x = b exists exactly when d = 1.
         """
         A, U, pivots = self
         nrows = len(A[0]) if A else 0
         if any(b[nrows:]):
             return None
         resid = [*b[:nrows], *[0] * (nrows - len(b))]
+        den = 1
         y = [0] * len(U)
         pos = dict(pivots)
         for r in range(nrows):
+            if not resid[r]:
+                continue
             c = pos.get(r)
             if c is None:
-                if resid[r]:
-                    return None
-                continue
+                return None
             col = A[c]
-            q, rest = divmod(resid[r], col[r])
-            y[c] = t = Fraction(resid[r], col[r]) if rest else q
-            if t:
-                for i in range(r + 1, nrows):
-                    if col[i]:
-                        resid[i] -= t * col[i]
-        d = lcm(*[v.denominator for v in y])
+            g = gcd(resid[r], col[r])
+            m, k = col[r] // g, resid[r] // g  # y[c] is k / (den*m)
+            if m > 1:
+                den *= m
+                y = [v * m for v in y]
+                resid[r + 1:] = [v * m for v in resid[r + 1:]]
+            y[c] = k
+            for i in range(r + 1, nrows):
+                if col[i]:
+                    resid[i] -= k * col[i]
         x = [0] * len(y)
         for u, v in zip(U, y):
             if v:
-                v = v.numerator * (d // v.denominator)
                 x = [a + v * c for a, c in zip(x, u)]
-        return tuple(x), d
+        return tuple(x), den
 
 
 def column_echelon(cols: Sequence[Sequence[int]]) -> Echelon:

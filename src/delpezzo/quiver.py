@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import MixedIndex
-from .exactalg import column_echelon, int_rank
+from .exactalg import Echelon, column_echelon, int_rank
 from .hilbert import orbifold_contribution
 from .singularity import (
     Basket,
@@ -145,45 +145,34 @@ def maximal_shattering(
 class DeltaLattice:
     local_index: int
     generators: tuple  # delta entry-vectors of the quiver vertices, in order
-    rank: int
-    basis: tuple  # lattice basis rows
+    echelon: Echelon  # column_echelon(generators)
+
+    @property
+    def rank(self) -> int:
+        return len(self.echelon.pivots)
+
+    @property
+    def basis(self) -> tuple:  # lattice basis rows: the pivot columns
+        return tuple([tuple(self.echelon.A[c]) for _, c in self.echelon.pivots])
 
     def contains(self, entries: Sequence[int]) -> bool:
-        """Integer membership of a delta-entry vector in the lattice.
-
-        delta_lattice takes the basis from a column echelon form, computed
-        once: the first nonzero entry of each row lies strictly right of
-        that of the row before, and the later rows are zero there.  So
-        taking away each row q times, q the floor quotient at that entry,
-        leaves zero exactly when the vector lies in the lattice.
-        """
-        resid = list(entries)
-        if len(resid) != max(0, self.local_index - 2):
+        """Integer membership of a delta-entry vector in the lattice."""
+        if len(entries) != max(0, self.local_index - 2):
             raise ValueError("dimension mismatch")
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
-            q = resid[pivot] // row[pivot]
-            if q:
-                resid = [x - q * y for x, y in zip(resid, row)]
-        return not any(resid)
+        solved = self.echelon.solve(entries)
+        return solved is not None and solved[1] == 1
 
 
-@lru_cache(maxsize=None)
 def delta_lattice(ell: int) -> DeltaLattice:
     """Z-span of the delta-vectors of the indecomposables at local index l."""
-    gens = tuple(
-        orbifold_contribution(v).entries for v in indecomposables(ell)
-    )
+    gens = tuple(orbifold_contribution(v).entries for v in indecomposables(ell))
+    echelon = column_echelon(gens)
     rank = int_rank(list(gens))
-    # lattice basis: the pivot columns of the column echelon form of the
-    # matrix whose columns are gens
-    echelon, _, pivots = column_echelon(gens)
-    basis = tuple([tuple(echelon[c]) for _, c in pivots])
-    if len(basis) != rank:
+    if len(echelon.pivots) != rank:
         raise RuntimeError(
-            f"delta-lattice basis at l={ell} has {len(basis)} rows, rank {rank}"
+            f"delta-lattice basis at l={ell} has {len(echelon.pivots)} rows, rank {rank}"
         )
-    return DeltaLattice(ell, gens, rank, basis)
+    return DeltaLattice(ell, gens, echelon)
 
 
 # ---------------------------------------------------------------------------

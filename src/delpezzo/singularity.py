@@ -22,8 +22,9 @@ from .errors import (
 
 Vec = tuple[int, int]
 
-# the text 1/r(1,a); only the ASCII digits 0-9 make a number
-SINGULARITY_TEXT = re.compile(r"1\s*/\s*([0-9]+)\s*\(\s*1\s*,\s*([0-9]+)\s*\)")
+# the text 1/r(1,a); only the ASCII digits 0-9 make a number, and at most
+# 4000 of them, below the digit limit of int()
+SINGULARITY_TEXT = re.compile(r"1\s*/\s*([0-9]{1,4000})\s*\(\s*1\s*,\s*([0-9]{1,4000})\s*\)")
 
 
 def cone_determinant(u: Sequence[int], v: Sequence[int]) -> int:

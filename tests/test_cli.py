@@ -365,6 +365,12 @@ class TestExitCodes:
             ("series", "{}", "--k2", "1e999999999"),
             ("series", "{}", "--k2", "1_0"),
             ("series", "{}", "--k2", "\u0661/\u0662"),
+            # orders and weights stop at 4,000 digits, below int()'s limit
+            ("contrib", "1/" + "9" * 5000 + "(1,1)"),
+            ("residue", "1/7(1," + "9" * 5000 + ")"),
+            ("bounds", "1/" + "9" * 5000 + "(1,1)"),
+            ("series", "{1/" + "9" * 5000 + "(1,1)}", "--k2", "1"),
+            ("count-bound", "5", "0:"),
         ],
         ids=lambda args: " ".join(args)[:40],
     )
