@@ -59,4 +59,5 @@ class LengthMismatch(DelPezzoError):
 
 
 class ParseError(DelPezzoError):
-    """Malformed text input (singularity or rational-function grammar)."""
+    """Malformed text input (singularity or rational-function grammar), or
+    a number past the size bound of hilbert.size_check."""

@@ -149,12 +149,14 @@ def orbifold_contribution(s: Singularity) -> DeltaVector:
     As g = r/l divides a+1, i = g*j with j = ((a+1)/g)(k+1) mod l, so the
     coefficients repeat with period l: the division by 1 + t^l + ... +
     t^(r-l) keeps the first l, and only l prefix sums are needed.  The cost
-    is O(l log r) time and O(l) memory, in proportion to the delta.
+    is O(l log r) time and O(l) memory, in proportion to the delta; the l
+    sums, each below r^2, must pass size_check before they are built.
     """
     ell = s.local_index
     if s.is_smooth:
         return zero_delta(ell)
     r, a = s.r, s.a
+    size_check(ell, 2 * r.bit_length(), "a delta-vector", str(s))
     g, sums = r // ell, _prefix_sums(r, -pow(a, -1, r) % r, ell)
     full = []
     for k in range(1, ell + 1):
@@ -460,7 +462,7 @@ def _scan_bound(d: int) -> int:
 
 _NESTING_LIMIT = 100
 _EXPONENT_LIMIT = 10_000
-_SIZE_LIMIT = 1 << 24  # bits of a product or power, see _size_check
+_SIZE_LIMIT = 1 << 24  # bits of one built object, see size_check
 _TOKEN = re.compile(r"[0-9]{1,4000}|\S")
 
 
@@ -510,7 +512,7 @@ def parse_rational_function(text: str) -> RationalFunction:
             if op == "*" and den is None and d is None:  # checked as _product checks c*t^s
                 c = num[0] * n[0]
                 num = (c, num[1] + n[1]) if c else (0, 0)
-                _size_check(num[1] + 1, c.bit_length(), text)
+                size_check(num[1] + 1, c.bit_length(), "a product or power", text)
             else:
                 if den is None:
                     num, den = _monomial(num), (1,)
@@ -550,7 +552,7 @@ def parse_rational_function(text: str) -> RationalFunction:
                 raise ParseError(f"exponent must be an integer 0..{_EXPONENT_LIMIT} in {text!r}")
             if den is None:  # checked as _power checks c*t^s
                 if num[0] and num != (1, 0):
-                    _size_check(exp * num[1] + 1, exp * (abs(num[0]) - 1).bit_length() + 1, text)
+                    size_check(exp * num[1] + 1, exp * (abs(num[0]) - 1).bit_length() + 1, "a product or power", text)
                 num = num[0] ** exp, num[1] * exp
             else:
                 num, den = _power(num, exp, text), _power(den, exp, text)
@@ -565,10 +567,11 @@ def parse_rational_function(text: str) -> RationalFunction:
     return RationalFunction.make(num, den)
 
 
-def _size_check(entries: int, bits: int, text: str) -> None:
-    """ParseError unless `entries` coefficients of `bits` bits and a 64-bit pointer each fit."""
+def size_check(entries: int, bits: int, what: str, text: str) -> None:
+    """ParseError naming `what` and `text` unless `entries` numbers of
+    `bits` bits and a 64-bit pointer each fit in _SIZE_LIMIT bits."""
     if entries * (64 + bits) > _SIZE_LIMIT:
-        raise ParseError(f"a product or power past the size bound of {_SIZE_LIMIT} bits in {text!r}")
+        raise ParseError(f"{what} past the size bound of {_SIZE_LIMIT} bits in {text!r}")
 
 
 def _product(p: tuple, q: tuple, text: str) -> tuple:
@@ -577,7 +580,7 @@ def _product(p: tuple, q: tuple, text: str) -> tuple:
         return q if p == (1,) else p
     if not (p and q):
         return ()
-    _size_check(len(p) + len(q) - 1, (sum(map(abs, p)) * sum(map(abs, q))).bit_length(), text)
+    size_check(len(p) + len(q) - 1, (sum(map(abs, p)) * sum(map(abs, q))).bit_length(), "a product or power", text)
     return poly_mul(p, q)
 
 
@@ -597,7 +600,7 @@ def _power(p: tuple, k: int, text: str) -> tuple:
     exceeds N^k for N = |p|_1, and N <= 2^bit_length(N - 1)."""
     if not p:
         return p if k else (1,)
-    _size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, text)
+    size_check(k * (len(p) - 1) + 1, k * (sum(map(abs, p)) - 1).bit_length() + 1, "a product or power", text)
     s = next(i for i, x in enumerate(p) if x)
     p = p[s:]
     terms = [(j, x) for j, x in enumerate(p) if x and j]

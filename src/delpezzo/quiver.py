@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import MixedIndex
 from .exactalg import Echelon, column_echelon, int_rank
-from .hilbert import orbifold_contribution
+from .hilbert import orbifold_contribution, size_check
 from .singularity import (
     Basket,
     Singularity,
@@ -60,10 +60,12 @@ def residual_quiver(ell: int) -> ResidualQuiver:
     shard from a cut has width the least w that reaches the next primitive
     point, so it is indecomposable, and its slope c*(1 - j*c)^-1 runs over
     every unit once.  The first shard is the canonical self-dual vertex
-    1/l(1,1) for odd l and 1/2l(1,1) for even l.
+    1/l(1,1) for odd l and 1/2l(1,1) for even l.  The phi(l) < l vertices
+    have orders below l^2, which must pass size_check before any is built.
     """
     if ell < 3:
         return ResidualQuiver(ell, ())
+    size_check(ell, 2 * ell.bit_length(), "a residual quiver", str(ell))
     order = maximal_shatter(Singularity(ell * ell, ell * (1 + ell % 2) - 1))
     if hyperplane_sum(order[-1], order[0]) is None:
         raise RuntimeError("cycle does not close")
@@ -143,31 +145,66 @@ def maximal_shattering(
 
 @dataclass(frozen=True)
 class DeltaLattice:
+    """Delta(l), the Z-span of the delta-vectors of the quiver vertices.
+
+    local_index is l, and generators are the delta entry-vectors of
+    residual_quiver(l).vertices, in order, of l - 2 entries each.  Every
+    delta-vector is a palindrome, fixed by its first h = (l - 1)//2
+    entries, and echelon is column_echelon of the generators cut to those:
+    delta_lattice proves that U and the pivots are those of the full
+    matrix, and that each full column of A is its half mirrored.
+    """
+
     local_index: int
-    generators: tuple  # delta entry-vectors of the quiver vertices, in order
-    echelon: Echelon  # column_echelon(generators)
+    generators: tuple
+    echelon: Echelon
 
     @property
     def rank(self) -> int:
         return len(self.echelon.pivots)
 
     @property
-    def basis(self) -> tuple:  # lattice basis rows: the pivot columns
-        return tuple([tuple(self.echelon.A[c]) for _, c in self.echelon.pivots])
+    def basis(self) -> tuple:
+        """The lattice basis rows: the pivot columns of the full echelon
+        form, each its half column mirrored back to l - 2 entries."""
+        n, h = self.local_index - 2, (self.local_index - 1) // 2
+        A = self.echelon.A
+        return tuple([(*A[c], *A[c][: n - h][::-1]) for _, c in self.echelon.pivots])
 
     def contains(self, entries: Sequence[int]) -> bool:
-        """Integer membership of a delta-entry vector in the lattice."""
+        """Integer membership of a delta-entry vector in the lattice.  Every
+        element is a palindrome, and a palindrome v is M x exactly when its
+        half is M_h x, as M x is a palindrome too (see delta_lattice)."""
         if len(entries) != max(0, self.local_index - 2):
             raise ValueError("dimension mismatch")
-        solved = self.echelon.solve(entries)
+        v = tuple(entries)
+        if v != v[::-1]:
+            return False
+        solved = self.echelon.solve(v[: (self.local_index - 1) // 2])
         return solved is not None and solved[1] == 1
 
 
 def delta_lattice(ell: int) -> DeltaLattice:
-    """Z-span of the delta-vectors of the indecomposables at local index l."""
+    """Z-span of the delta-vectors of the indecomposables at local index l,
+    echelonized and ranked on the first h = (l - 1)//2 entries of each.
+
+    Write M for the l - 2 by phi(l) matrix of the generators as columns and
+    M_h for its first h rows.  Each generator is a palindrome, so row i of
+    M equals row l - 3 - i, and rows h..l - 3 repeat rows of M_h.
+    - The mirrored rows equal the kept rows, so rank M = rank M_h.
+    - column_echelon decides each step from the row at hand, so on M it
+      makes the steps it makes on M_h until it has passed row h - 1.  Then
+      every non-pivot column is zero on the kept rows.  It is an integer
+      combination of palindromes, so a palindrome, and zero on every row:
+      no later row of M gives a pivot or a step.
+    - So U and the pivots are those of column_echelon(M), and each column
+      of its A is the half column mirrored.
+    int_rank cross-checks the pivot count on M_h.
+    """
     gens = tuple(orbifold_contribution(v).entries for v in indecomposables(ell))
-    echelon = column_echelon(gens)
-    rank = int_rank(list(gens))
+    halves = [g[: (ell - 1) // 2] for g in gens]
+    echelon = column_echelon(halves)
+    rank = int_rank(halves)
     if len(echelon.pivots) != rank:
         raise RuntimeError(
             f"delta-lattice basis at l={ell} has {len(echelon.pivots)} rows, rank {rank}"

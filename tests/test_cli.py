@@ -371,6 +371,11 @@ class TestExitCodes:
             ("bounds", "1/" + "9" * 5000 + "(1,1)"),
             ("series", "{1/" + "9" * 5000 + "(1,1)}", "--k2", "1"),
             ("count-bound", "5", "0:"),
+            # a local index of 21 digits asks for memory in proportion to it
+            ("contrib", "1/100000000000000000001(1,1)"),
+            ("series", "{1/100000000000000000001(1,1)}", "--k2", "1"),
+            ("delta-rank", "100000000000000000001"),
+            ("quiver", "100000000000000000000"),
         ],
         ids=lambda args: " ".join(args)[:40],
     )

@@ -24,6 +24,7 @@ from delpezzo import (
     residual_quiver,
     self_duals,
 )
+from delpezzo import quiver
 from delpezzo.errors import MixedIndex
 from delpezzo.exactalg import (
     column_echelon,
@@ -319,6 +320,50 @@ class TestDeltaLattice:
                 assert answer == floor_reduces(L.basis, v), (ell, v)
                 answers.add(answer)
         assert answers == {True, False}
+
+    @pytest.mark.parametrize("ell", range(3, 61))
+    def test_half_width_is_the_full_echelon_form(self, ell):
+        """delta_lattice echelonizes and ranks the first (l - 1)//2 entries
+        of each generator; the full-width construction is the oracle.  The
+        rank and basis agree, U and the pivots are the oracle's, and each
+        oracle A column is its half column mirrored."""
+        gens = tuple(orbifold_contribution(v).entries for v in indecomposables(ell))
+        full = column_echelon(gens)
+        L = delta_lattice(ell)
+        n, h = ell - 2, (ell - 1) // 2
+        assert L.generators == gens
+        assert L.rank == int_rank(gens) == len(full.pivots)
+        assert L.basis == tuple([tuple(full.A[c]) for _, c in full.pivots])
+        assert L.echelon.U == full.U and L.echelon.pivots == full.pivots
+        assert len(L.echelon.A) == len(full.A)
+        for half, col in zip(L.echelon.A, full.A):
+            assert len(half) == h and [*half, *half[: n - h][::-1]] == col
+
+    def test_one_rank_and_one_echelon_of_the_halves(self, monkeypatch):
+        """Each delta_lattice(l) calls int_rank and column_echelon once,
+        on the phi(l) generators cut to (l - 1)//2 entries."""
+        widths = {"int_rank": [], "column_echelon": []}
+        for name, calls in widths.items():
+            kernel = getattr(quiver, name)
+
+            def counted(rows, kernel=kernel, calls=calls):
+                calls.append([len(row) for row in rows])
+                return kernel(rows)
+
+            monkeypatch.setattr(quiver, name, counted)
+        for ell in (3, 4, 7, 12, 31, 50):
+            for calls in widths.values():
+                calls.clear()
+            delta_lattice(ell)
+            for name, calls in widths.items():
+                assert calls == [[(ell - 1) // 2] * totient(ell)], (name, ell)
+
+    def test_rank_disagreement_raises(self, monkeypatch):
+        """The int_rank cross-check raises, also under python -O."""
+        rank = quiver.int_rank
+        monkeypatch.setattr(quiver, "int_rank", lambda rows: rank(rows) + 1)
+        with pytest.raises(RuntimeError, match=r"at l=7 has 3 rows, rank 4$"):
+            delta_lattice(7)
 
     def test_no_lattice_vector_vanishes_at_primitive_roots(self):
         """Reduced mod Phi_l, the basis of Delta(l) keeps its rank: no
