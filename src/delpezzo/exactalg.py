@@ -294,13 +294,32 @@ class RationalFunction:
 class Echelon(NamedTuple):
     """The integer column echelon form of a matrix M, from column_echelon.
 
-    A = M U with U unimodular, both lists of columns, and pivots the
-    (row, col) positions of the echelon pivots.  Unpacks as (A, U, pivots).
+    A = M U with U unimodular, A a list of columns, and pivots the (row,
+    col) positions of the echelon pivots.  U is not kept: ops holds the
+    column operations that column_echelon applied to M, in order, each a
+    triple (j, p, q).  With q nonzero it took q times column p from
+    column j; a negation of column c is (c, c, 2), as c - 2c = -c.  With
+    q = 0 it swapped columns j and p.  So U = E_1 ... E_K, E_k the
+    elementary matrix of the k-th operation: E = I - q e_p e_j^T for a
+    subtraction, the transposition of j and p for a swap.
     """
 
     A: list
-    U: list
+    ops: list
     pivots: list
+
+    @property
+    def U(self) -> list:
+        """U as the list of its columns: the operations replayed, in order,
+        on the columns of the identity."""
+        n = len(self.A)
+        U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        for j, p, q in self.ops:
+            if q:
+                U[j] = [x - q * y for x, y in zip(U[j], U[p])]
+            else:
+                U[j], U[p] = U[p], U[j]
+        return U
 
     @property
     def kernel(self) -> list[tuple]:
@@ -322,14 +341,19 @@ class Echelon(NamedTuple):
         prime to m, so h = gcd(k, den) is prime to m, and the lcm of den
         and den*m/h is den*m.  x = U (d*y); U is unimodular, so an integer
         x with M x = b exists exactly when d = 1.
+
+        x = U (d*y) is formed without U, in O(len(ops)) steps: U = E_1 ...
+        E_K, so x = E_1 (E_2 (... (E_K d*y))), the operations applied to
+        d*y in reverse.  E = I - q e_p e_j^T maps y to y - q y_j e_p, so it
+        changes only y_p, by -q y_j; a swap exchanges y_j and y_p.
         """
-        A, U, pivots = self
+        A, ops, pivots = self
         nrows = len(A[0]) if A else 0
         if any(b[nrows:]):
             return None
         resid = [*b[:nrows], *[0] * (nrows - len(b))]
         den = 1
-        y = [0] * len(U)
+        y = [0] * len(A)
         pos = dict(pivots)
         for r in range(nrows):
             if not resid[r]:
@@ -348,23 +372,28 @@ class Echelon(NamedTuple):
             for i in range(r + 1, nrows):
                 if col[i]:
                     resid[i] -= k * col[i]
-        x = [0] * len(y)
-        for u, v in zip(U, y):
-            if v:
-                x = [a + v * c for a, c in zip(x, u)]
-        return tuple(x), den
+        for j, p, q in reversed(ops):  # d*y becomes x = U (d*y)
+            if q:
+                y[p] -= q * y[j]
+            else:
+                y[j], y[p] = y[p], y[j]
+        return tuple(y), den
 
 
 def column_echelon(cols: Sequence[Sequence[int]]) -> Echelon:
     """Integer column echelon form via unimodular column operations.
 
     cols is the matrix M as the list of its columns; short columns are
-    padded with zeros to the longest.
+    padded with zeros to the longest.  Row by row, the columns right of
+    the last pivot are reduced by floor quotients of the one with the
+    least nonzero entry in the row until one is left, which moves to the
+    pivot place and is made positive.  Each operation is done on A and
+    recorded in ops; U is formed only when it is asked for (see Echelon).
     """
     nrows = max(map(len, cols), default=0)
     A = [[*col, *[0] * (nrows - len(col))] for col in cols]
     n = len(A)
-    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    ops: list[tuple[int, int, int]] = []
     pivots: list[tuple[int, int]] = []
     pc = 0
     for r in range(nrows):
@@ -377,20 +406,24 @@ def column_echelon(cols: Sequence[Sequence[int]]) -> Echelon:
                 break
             if len(nz) == 1:
                 j = nz[0]
-                A[pc], A[j], U[pc], U[j] = A[j], A[pc], U[j], U[pc]
+                if j != pc:
+                    A[pc], A[j] = A[j], A[pc]
+                    ops.append((pc, j, 0))
                 break
             nz.sort(key=lambda j: abs(A[j][r]))
-            a, u = A[nz[0]], U[nz[0]]
+            p = nz[0]
+            a = A[p]
             for j in nz[1:]:
-                q = A[j][r] // a[r]
+                q = A[j][r] // a[r]  # nonzero, as |A[j][r]| >= |a[r]|
                 A[j] = [x - q * y for x, y in zip(A[j], a)]
-                U[j] = [x - q * y for x, y in zip(U[j], u)]
+                ops.append((j, p, q))
         if A[pc][r]:
             if A[pc][r] < 0:
-                A[pc], U[pc] = [-x for x in A[pc]], [-x for x in U[pc]]
+                A[pc] = [-x for x in A[pc]]
+                ops.append((pc, pc, 2))
             pivots.append((r, pc))
             pc += 1
-    return Echelon(A, U, pivots)
+    return Echelon(A, ops, pivots)
 
 
 def int_kernel(cols: Sequence[Sequence[int]]) -> list[tuple]:

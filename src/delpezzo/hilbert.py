@@ -286,9 +286,9 @@ class _Frame:
 
     @cached_property
     def system(self) -> tuple[tuple, list]:
-        """(column_echelon(M), bases) for the integer matrix M, a row per
+        """(column_echelon(M_h), bases) for the integer matrix M, a row per
         power of t, of columns `degree` and t*b*parts[l] for each (l, b),
-        b in the window at l.
+        b in the window at l, and M_h its first h = len(den)//2 rows.
 
         The window spans Delta(l) over Z.  Write the quiver's vertices as
         v_0..v_(n-1), n = phi(l), and g_i = delta(v_i).  residual_quiver
@@ -300,12 +300,32 @@ class _Frame:
         Delta(l), and rank Delta(l) <= phi(l)/2.  The window is independent
         exactly when the rank is phi(l)/2, which the tests check for
         l <= 150; were it not, the echelon form would have a kernel and the
-        split would raise AmbiguousDecomposition, never a wrong answer."""
+        split would raise AmbiguousDecomposition, never a wrong answer.
+
+        M has N = deg D rows, and each column, like `geometric`, is a
+        palindrome of length N, c_i = c_(N-1-i).  A product of palindromes
+        is one about the sum of their centres, and a quotient about the
+        difference.  P = D/(1 - t)^3, the product of the Phi_n with n >= 2,
+        is one about (N - 3)/2; t and (1 - t)^2 are about 1; t*b about
+        (l - 1)/2, b being a palindromic delta-vector; and (1 - t^l)/(1 - t),
+        the product of the Phi_n with 2 <= n | l, about (l - 1)/2.  So
+        `degree` = L*t*P, `geometric` = L*(1 - t)^2*P and t*b*parts[l] =
+        (L/l)*t*b*(1 - t)^2*P*(1 - t)/(1 - t^l) are all palindromes about
+        (N - 1)/2.  Rows h..N - 1 of M thus repeat its first h rows in
+        reverse, and as in delta_lattice: column_echelon makes the same
+        steps on M and on M_h until it has passed row h - 1, when every
+        non-pivot column is zero on the first h rows and, a palindrome,
+        zero on all of them.  So M_h gives the column operations and pivots
+        of M, and for a palindromic b of length N, M x = b exactly when
+        M_h x is the first h entries of b.
+        """
         from .quiver import residual_quiver  # deferred: quiver builds on this module
 
         windows = {ell: residual_quiver(ell).vertices for ell in self.parts}
         bases = [(ell, orbifold_contribution(v).entries) for ell, vs in windows.items() for v in vs[:len(vs) // 2]]
-        cols = [self.degree] + [poly_mul(self.parts[ell], (0, *b)) for ell, b in bases]
+        # the first h coefficients of a product take the first h of each factor
+        h = len(self.den) // 2
+        cols = [self.degree[:h]] + [poly_mul(self.parts[ell][:h], (0, *b))[:h] for ell, b in bases]
         return column_echelon(cols), bases
 
 
@@ -354,9 +374,11 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     delta-lattice at l written in the frame's window, is one integer system
     with K^2 as one more unknown:
     L*num*(D/den') - c*geometric = c*(K^2*degree + sum x_i*column_i).
-    The frame keeps the column echelon form of its matrix, so a split is
-    one Echelon.solve: a forward substitution for y and then x = U y, a sum
-    of the columns of U.
+    Every column is a palindrome of length deg D (see _Frame.system), so a
+    right-hand side longer than that or not a palindrome has no solution.
+    Otherwise the system is its first len(D)//2 rows, whose column echelon
+    form the frame keeps, so a split is one Echelon.solve: a forward
+    substitution for y and then x = U y, by the recorded column operations.
     """
     if H.den[0] == 0:
         raise NotASurfaceSeries("series has a pole at t=0")
@@ -370,11 +392,15 @@ def split_series(H: RationalFunction) -> tuple[Fraction, dict[int, DeltaVector]]
     if rest:  # _candidate_indices has refused any factor but a Phi_n
         raise NotASurfaceSeries("denominator has a cyclotomic factor that no orbifold part gives")
     rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
+    n = len(frame.den) - 1
+    rhs = [*rhs, *[0] * (n - len(rhs))]
+    if len(rhs) > n or rhs != rhs[::-1]:
+        raise NotASurfaceSeries("series is not a sum of orbifold parts")
     echelon, bases = frame.system
-    solved = echelon.solve(rhs)
+    solved = echelon.solve(rhs[:len(frame.den) // 2])
     if solved is None:
         raise NotASurfaceSeries("series is not a sum of orbifold parts")
-    if echelon.kernel:
+    if len(echelon.pivots) < len(echelon.A):
         kernel = echelon.kernel[0]
         named = [f"l={ell}:{tuple([x for (e, _), x in zip(bases, kernel[1:]) if e == ell])}"
                  for ell in frame.parts]

@@ -151,8 +151,9 @@ class DeltaLattice:
     residual_quiver(l).vertices, in order, of l - 2 entries each.  Every
     delta-vector is a palindrome, fixed by its first h = (l - 1)//2
     entries, and echelon is column_echelon of the generators cut to those:
-    delta_lattice proves that U and the pivots are those of the full
-    matrix, and that each full column of A is its half mirrored.
+    delta_lattice proves that the column operations and pivots are those
+    of the full matrix, and that each full column of A is its half
+    mirrored.
     """
 
     local_index: int
@@ -197,8 +198,8 @@ def delta_lattice(ell: int) -> DeltaLattice:
       every non-pivot column is zero on the kept rows.  It is an integer
       combination of palindromes, so a palindrome, and zero on every row:
       no later row of M gives a pivot or a step.
-    - So U and the pivots are those of column_echelon(M), and each column
-      of its A is the half column mirrored.
+    - So the column operations and pivots are those of column_echelon(M),
+      and each column of its A is the half column mirrored.
     int_rank cross-checks the pivot count on M_h.
     """
     gens = tuple(orbifold_contribution(v).entries for v in indecomposables(ell))

@@ -9,15 +9,17 @@ columns, as in the library.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
 from operator import le
+from pathlib import Path
 
 import pytest
 
-from delpezzo import Singularity, exactalg, orbifold_contribution
+from delpezzo import Singularity, assemble_series, basket, exactalg, orbifold_contribution
 from delpezzo.errors import CapacityExceeded
 from delpezzo.exactalg import (
     RationalFunction,
@@ -45,6 +47,8 @@ from delpezzo.exactalg import (
     poly_to_int,
     signed,
 )
+from delpezzo.hilbert import _candidate_indices, _frame
+from delpezzo.quiver import indecomposables
 from delpezzo.reconstruct import PAIR_BUDGET, res_plus
 
 rng = random.Random(20260824)
@@ -394,6 +398,89 @@ def _rand_shaped_matrix(local):
     return rows, ncols
 
 
+def _tracked_echelon(cols):
+    """The column echelon form as column_echelon made it before it
+    recorded its column operations, kept as their oracle: each operation
+    done on A and on U alike, with U held as a dense n x n matrix.
+    (A, U, pivots)."""
+    nrows = max(map(len, cols), default=0)
+    A = [[*col, *[0] * (nrows - len(col))] for col in cols]
+    n = len(A)
+    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivots = []
+    pc = 0
+    for r in range(nrows):
+        if pc >= n:
+            break
+        while True:
+            nz = [j for j in range(pc, n) if A[j][r]]
+            if not nz:
+                break
+            if len(nz) == 1:
+                j = nz[0]
+                A[pc], A[j], U[pc], U[j] = A[j], A[pc], U[j], U[pc]
+                break
+            nz.sort(key=lambda j: abs(A[j][r]))
+            a, u = A[nz[0]], U[nz[0]]
+            for j in nz[1:]:
+                q = A[j][r] // a[r]
+                A[j] = [x - q * y for x, y in zip(A[j], a)]
+                U[j] = [x - q * y for x, y in zip(U[j], u)]
+        if A[pc][r]:
+            if A[pc][r] < 0:
+                A[pc], U[pc] = [-x for x in A[pc]], [-x for x in U[pc]]
+            pivots.append((r, pc))
+            pc += 1
+    return A, U, pivots
+
+
+def _tracked_solve(A, U, pivots, b):
+    """Echelon.solve as it was with U at hand: the same forward
+    substitution for d*y, then x = U (d*y) as a sum of columns of U."""
+    nrows = len(A[0]) if A else 0
+    if any(b[nrows:]):
+        return None
+    resid = [*b[:nrows], *[0] * (nrows - len(b))]
+    den = 1
+    y = [0] * len(U)
+    pos = dict(pivots)
+    for r in range(nrows):
+        if not resid[r]:
+            continue
+        c = pos.get(r)
+        if c is None:
+            return None
+        col = A[c]
+        g = gcd(resid[r], col[r])
+        m, k = col[r] // g, resid[r] // g
+        if m > 1:
+            den *= m
+            y = [v * m for v in y]
+            resid[r + 1:] = [v * m for v in resid[r + 1:]]
+        y[c] = k
+        for i in range(r + 1, nrows):
+            if col[i]:
+                resid[i] -= k * col[i]
+    x = [0] * len(y)
+    for u, v in zip(U, y):
+        if v:
+            x = [a + v * c for a, c in zip(x, u)]
+    return tuple(x), den
+
+
+def _roundtrip_frames():
+    """The frame of every op of round 0 of series_roundtrip at seed 1,
+    drawn as perfbench/run.py draws it, with the op's series."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rounds, _ = workloads.SeriesRoundtrip().generate(random.Random("series_roundtrip:1"), 1)
+    for op in rounds[0]:
+        hs = assemble_series(basket([Singularity(*p) for p in op["points"]]), op["k2"])
+        yield _frame(tuple(_candidate_indices(hs.series.den))), hs.series
+
+
 class TestIntLinearAlgebra:
     def test_column_echelon_matches_row_major_oracle(self):
         """The same numbers as the row-major elimination, transposed, on 300
@@ -402,7 +489,8 @@ class TestIntLinearAlgebra:
         seen = set()
         for _ in range(300):
             rows, ncols = _rand_shaped_matrix(local)
-            A, U, pivots = column_echelon(columns(rows, ncols))
+            echelon = column_echelon(columns(rows, ncols))
+            A, U, pivots = echelon.A, echelon.U, echelon.pivots
             A0, U0, pivots0 = _row_major_echelon(rows, ncols)
             assert pivots == pivots0, rows
             assert len(A) == len(U) == ncols
@@ -514,6 +602,98 @@ class TestIntLinearAlgebra:
             ragged += padded != trimmed
             assert column_echelon(trimmed) == column_echelon(padded), rows
         assert ragged > 20
+
+
+class TestRecordedOperations:
+    """column_echelon records its column operations and forms U only when
+    asked; the U-tracking elimination is the oracle of A, the pivots, U,
+    the kernel and every solve."""
+
+    def check(self, cols, rhss):
+        """The echelon form of cols equals the oracle's, and so does the
+        solve of each b in rhss."""
+        echelon = column_echelon(cols)
+        A, U, pivots = _tracked_echelon(cols)
+        assert (echelon.A, echelon.pivots) == (A, pivots), cols
+        assert echelon.U == U, cols
+        assert echelon.kernel == [tuple(u) for u in U[len(pivots):]], cols
+        for b in rhss:
+            assert echelon.solve(b) == _tracked_solve(A, U, pivots, b), (cols, b)
+        return echelon
+
+    def test_random_matrices(self):
+        """2,400 seeded matrices of 0 to 8 rows, with zero, short, repeated
+        and negated columns; solves of M x, of a random b, of a short b and
+        of a b with a nonzero entry past the rows."""
+        local = random.Random(3131_31)
+        seen = set()
+        for _ in range(2400):
+            nrows = local.randint(0, 8)
+            cols = []
+            for _ in range(local.randint(0, 8)):
+                kind = local.choice(("zero", "short", "repeated", "negated", "random", "random"))
+                if kind in ("repeated", "negated") and cols:
+                    col = local.choice(cols)
+                    cols.append(list(col) if kind == "repeated" else [-x for x in col])
+                elif kind == "zero":
+                    cols.append([0] * local.randint(0, nrows))
+                elif kind == "short":
+                    cols.append([local.randint(-9, 9) for _ in range(local.randint(0, nrows))])
+                else:
+                    kind = "random"
+                    cols.append([local.randint(-30, 30) for _ in range(nrows)])
+                seen.add(kind)
+            height = max(map(len, cols), default=0)
+            x = [local.randint(-5, 5) for _ in cols]
+            image = [sum(v * col[i] for v, col in zip(x, cols) if i < len(col)) for i in range(height)]
+            rhss = [image, [local.randint(-9, 9) for _ in range(height)], image[: height // 2],
+                    [*image, 0, 0], [*image, 1]]
+            echelon = self.check(cols, rhss)
+            if echelon.ops:
+                seen.add("swap" if any(q == 0 for _, _, q in echelon.ops) else "no swap")
+                seen |= {"negation"} if any(j == p for j, p, _ in echelon.ops) else set()
+        assert seen == {"zero", "short", "repeated", "negated", "random", "swap", "no swap", "negation"}
+
+    def test_frame_systems_of_a_roundtrip_round(self):
+        """Each frame of round 0 of series_roundtrip at seed 1, on the first
+        len(den)//2 rows that the frame keeps and on all deg D rows, with
+        the split's right-hand side.  The halves give the operations and
+        pivots of the whole, and the same solution."""
+        frames = 0
+        for frame, H in _roundtrip_frames():
+            _, bases = frame.system
+            full = [frame.degree] + [poly_mul(frame.parts[ell], (0, *b)) for ell, b in bases]
+            h, n = len(frame.den) // 2, len(frame.den) - 1
+            c = poly_content(H.den)
+            cofactor = poly_divmod(frame.den, tuple([x // c for x in H.den]))[0]
+            rhs = poly_sub(poly_scale(poly_mul(H.num, cofactor), frame.lcm), poly_scale(frame.geometric, c))
+            rhs = [*rhs, *[0] * (n - len(rhs))]
+            half = self.check([col[:h] for col in full], [rhs[:h]])
+            whole = self.check(full, [rhs])
+            assert frame.system[0] == half
+            assert (half.ops, half.pivots) == (whole.ops, whole.pivots)
+            assert half.solve(rhs[:h]) == whole.solve(rhs)
+            frames += 1
+        assert frames == 24
+
+    def test_phi_plus(self):
+        """Phi+ for 3 <= l <= 12, with the delta-vector of each point and of
+        a random sum of them."""
+        local = random.Random(1212_31)
+        for ell in range(3, 13):
+            cols = [orbifold_contribution(s).entries for s in res_plus(ell)]
+            x = [local.randint(-3, 3) for _ in cols]
+            self.check(cols, [*cols, apply(cols, x), [local.randint(-5, 5) for _ in cols[0]]])
+
+    def test_delta_lattice_halves(self):
+        """The first (l - 1)//2 entries of the generators of Delta(l) for
+        3 <= l <= 60, as delta_lattice echelonizes them."""
+        local = random.Random(6060_31)
+        for ell in range(3, 61):
+            h = (ell - 1) // 2
+            cols = [orbifold_contribution(v).entries[:h] for v in indecomposables(ell)]
+            x = [local.randint(-2, 2) for _ in cols]
+            self.check(cols, [cols[0], apply(cols, x), [local.randint(-3, 3) for _ in range(h)]])
 
 
 class TestReducer:

@@ -676,6 +676,40 @@ class TestFrameOracle:
                 seen.add(got if isinstance(got, type) else "split")
         assert {"split", NonIntegralDelta} <= seen
 
+    def test_frame_columns_are_palindromes(self):
+        """Over the frame of every denominator of the benchmark's seed-1
+        series, `geometric` and each whole column of the system, `degree`
+        and t*b*parts[l], is a palindrome of length deg D: the reason the
+        system keeps only its first len(den)//2 rows."""
+        frames = {_frame(tuple(_candidate_indices(den))) for den in _workload_denominators()}
+        assert len(frames) > 20
+        for frame in frames:
+            n = len(frame.den) - 1
+            _, bases = frame.system
+            cols = [frame.geometric, frame.degree]
+            cols += [poly_mul(frame.parts[ell], (0, *b)) for ell, b in bases]
+            for col in cols:
+                assert len(col) <= n
+                padded = [*col, *[0] * (n - len(col))]
+                assert padded == padded[::-1], frame.orders
+
+    def test_perturbed_numerators_match_the_oracle(self):
+        """A valid series with one numerator coefficient moved by a small
+        amount: the split, which refuses a right-hand side that is not a
+        palindrome before it solves, gives the oracle's value or error
+        class."""
+        local = random.Random(20261022)
+        refused = 0
+        for b in self.baskets(local, 150):
+            hs = assemble_series(b, Fraction(local.randint(1, 60), local.randint(1, 12)))
+            num = list(hs.series.num)
+            num[local.randrange(len(num))] += local.choice((-3, -2, -1, 1, 2, 3))
+            H = RationalFunction.make(num, hs.series.den)
+            got = _outcome(split_series, H)
+            assert got == _outcome(_split_by_remainder, H), (b, num)
+            refused += got is NotASurfaceSeries
+        assert refused > 100
+
     def test_dependent_columns_raise_ambiguous(self, monkeypatch):
         """No frame has dependent columns, so the split's check is reached
         through a frame whose last column is given twice: the series still
@@ -684,6 +718,7 @@ class TestFrameOracle:
         frame = _frame(tuple(_candidate_indices(hs.series.den)))
         _, bases = frame.system
         cols = [frame.degree] + [poly_mul(frame.parts[ell], (0, *b)) for ell, b in bases]
+        cols = [col[:len(frame.den) // 2] for col in cols]
         cols.append(cols[-1])
         nrows = max(map(len, cols))
         padded = [[*col, *[0] * (nrows - len(col))] for col in cols]
@@ -761,6 +796,50 @@ class TestWorkPins:
             assert calls[0][0] == cold and calls[1][0] == 0
             assert cold or calls[2][0] == 0
             monkeypatch.undo()
+
+    def test_splits_and_delta_lattices_never_form_u(self, monkeypatch):
+        """U is formed only when asked for, by replaying the recorded
+        column operations: a cold split, a warm split, delta_lattice and
+        DeltaLattice.contains never ask.  Reading a kernel does."""
+        replays = [0]
+        form_u = exactalg.Echelon.U.fget
+
+        def counted(echelon):
+            replays[0] += 1
+            return form_u(echelon)
+
+        monkeypatch.setattr(exactalg.Echelon, "U", property(counted))
+        hs = assemble_series(
+            basket([Singularity(6, 1), Singularity(24, 19), Singularity(5, 2), Singularity(7, 1)]), Fraction(7, 3)
+        )
+        _frame.cache_clear()
+        for _ in ("cold", "warm"):
+            assert split_series(hs.series) == (Fraction(7, 3), hs.orbifold_parts)
+        for ell in (13, 16, 30):
+            lattice = delta_lattice(ell)
+            assert all(lattice.contains(g) for g in lattice.generators)
+            assert not lattice.contains([1] + [0] * (ell - 4) + [1])
+        assert replays[0] == 0
+        assert column_echelon([[1, 2], [2, 4]]).kernel == [(-2, 1)] and replays[0] == 1
+
+    def test_frame_echelon_keeps_half_the_rows(self, monkeypatch):
+        """Over 1/((1-t)^2 (1-t^200)) the frame's system has deg D = 202
+        palindromic rows, and its echelon form keeps the first 101, where
+        the whole system had 201 (its last row is zero).  The series itself
+        gives a right-hand side that is no palindrome, so its split is
+        refused before any elimination."""
+        H = parse_rational_function("1/((1-t)^2*(1-t^200))")
+        _frame.cache_clear()
+        calls = self.counter(monkeypatch, hilbert, "column_echelon")
+        with pytest.raises(NotASurfaceSeries, match="not a sum of orbifold parts"):
+            split_series(H)
+        assert calls[0] == 0
+        frame = _frame(tuple(_candidate_indices(H.den)))
+        assert len(frame.den) - 1 == 202
+        echelon, bases = frame.system
+        assert calls[0] == 1
+        assert len(echelon.A) == 1 + len(bases) == 100
+        assert {len(col) for col in echelon.A} == {101}
 
     @pytest.mark.parametrize(
         "points", [((97, 94),), ((6, 1), (24, 19), (5, 2), (7, 1))], ids=["1/97(1,94)", "four points"]
@@ -921,8 +1000,10 @@ class TestCandidateIndices:
         """(1 - t)^2 (1 - t^2000): the 18 divisors >= 3 of 2000, from two
         nonzero exponents, where trial division made one long division of the
         degree-2002 denominator for every n < 2000 with phi(n) below the
-        degree.  The split of this series stays slow in _Frame.system's
-        echelon form."""
+        degree.  The split of 1/den is refused before any elimination, as
+        its right-hand side is no palindrome; a palindromic series over
+        this frame would still be slow in the echelon form of the 1,001
+        rows that _Frame.system keeps."""
         den = poly_mul((1, -2, 1), (1, *[0] * 1999, -1))
         start = time.perf_counter()
         got = _candidate_indices(den)
@@ -1021,7 +1102,7 @@ def _echelon_substitute(echelon, b):
     """y over Q with A y = b and y zero off the pivot columns, or None when
     A y = b is inconsistent: the forward substitution that Echelon.solve
     took over, kept as its oracle."""
-    A, U, pivots = echelon
+    A, U, pivots = echelon.A, echelon.U, echelon.pivots
     y = [0] * len(U)
     resid = list(b)
     pos = dict(pivots)
@@ -1049,7 +1130,7 @@ def _solve_by_echelon(matrix, rhs):
     which vanishes off the pivot columns, and d to be the least integer
     that makes d*y integral."""
     echelon = column_echelon([[row[j] for row in matrix] for j in range(len(matrix[0]))])
-    _, U, pivots = echelon
+    U, pivots = echelon.U, echelon.pivots
     y = _echelon_substitute(echelon, rhs)
     solved = echelon.solve(rhs)
     if y is None:
